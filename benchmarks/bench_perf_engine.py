@@ -561,25 +561,23 @@ def run_scale_smoke(n_nodes: int = 10_000) -> int:
     """CI guard: 10k-node campaign vs the recorded baseline.
 
     Fails (exit 1) when events/sec drops below half the baseline —
-    the ">2x regression" tripwire from the perf contract.  First run
-    records the baseline; delete ``results/BENCH_scale_baseline.json``
-    to re-baseline deliberately.
+    the ">2x regression" tripwire from the perf contract — and when
+    ``results/BENCH_scale_baseline.json`` is missing: a guard with
+    nothing to compare against must not pass.  Re-baseline deliberately
+    by writing that file from a trusted run (the failure message
+    prints its contents).
     """
     report = bench_scale(n_nodes, max_configure_time=2_000.0)
     events_per_sec = report["events"]["events_per_sec"]
     print(json.dumps(report, indent=2))
     baseline_path = RESULTS_DIR / SCALE_BASELINE_FILE
     if not baseline_path.exists():
-        save_result(
-            SCALE_BASELINE_FILE,
-            json.dumps(
-                {"n_nodes": n_nodes, "events_per_sec": events_per_sec},
-                indent=2,
-            )
-            + "\n",
+        record = {"n_nodes": n_nodes, "events_per_sec": events_per_sec}
+        print(
+            f"scale-smoke FAILED: no baseline at {baseline_path}; this "
+            f"run measured {json.dumps(record)}"
         )
-        print("scale-smoke: baseline recorded")
-        return 0
+        return 1
     baseline = json.loads(baseline_path.read_text())
     floor = baseline["events_per_sec"] / 2.0
     verdict = "ok" if events_per_sec >= floor else "REGRESSION"

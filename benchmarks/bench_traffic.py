@@ -204,13 +204,14 @@ def run_all(smoke: bool = False) -> dict:
 
 
 def check_throughput_guard(report: dict) -> int:
-    """Exit status for --smoke: 1 on a >2x packets/s regression."""
+    """Exit status for --smoke: 1 on a >2x packets/s regression, and
+    1 when the baseline file is missing (nothing to guard against)."""
     try:
         with open(_BASELINE_PATH) as handle:
             baseline = json.load(handle)
     except FileNotFoundError:
-        print(f"throughput guard: no baseline at {_BASELINE_PATH}; skipping")
-        return 0
+        print(f"throughput guard FAILED: no baseline at {_BASELINE_PATH}")
+        return 1
     floor = baseline["smoke"]["packets_per_s"] / 2.0
     top = report["throughput"]["volume"][-1]
     if top["packets_per_s"] < floor:

@@ -39,8 +39,8 @@ on the next ``--resume``.
 
 ``sweep``, ``chaos``, and ``replay`` accept ``--shards N`` to run
 each replicate on the spatially-sharded executor — results are
-byte-identical at every shard count (``--shard-executor`` picks the
-inline or process backend and never affects results).
+byte-identical unsharded and at every shard count (``--shard-executor``
+picks the inline or process backend and never affects results).
 
 Process-backed runs are *supervised* (:mod:`repro.sim.supervise`): a
 SIGKILLed, hung (``--task-deadline``), or frame-corrupting worker is
@@ -152,10 +152,9 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
     """The shared ``--shards`` / ``--shard-executor`` flags.
 
     ``--shards N`` runs each replicate on the spatially-sharded
-    executor; results are byte-identical at every N (but distinct from
-    the unsharded legacy trajectory, so the flag is part of the run
-    identity).  ``--shard-executor`` picks the worker backend and is
-    never part of the identity.
+    executor; results are byte-identical to the unsharded run at every
+    N, so neither flag is part of the run identity.  ``--shard-executor``
+    picks the worker backend.
     """
     parser.add_argument(
         "--shards",
@@ -163,7 +162,7 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="run on the sharded executor with N spatial shards "
-        "(byte-identical at every N; default: unsharded legacy path)",
+        "(results identical to the default unsharded run at every N)",
     )
     parser.add_argument(
         "--shard-executor",
@@ -1026,9 +1025,8 @@ def cmd_traffic(args) -> int:
 def _apply_shard_flags(data, args):
     """Fold ``--shards`` / ``--shard-executor`` into a scenario dict.
 
-    ``shards`` joins the run identity (it is digest-relevant); the
-    executor flavour rides along for this invocation only and is never
-    emitted back by ``Scenario.to_dict``.
+    Both ride along for this invocation only; neither is emitted back
+    by ``Scenario.to_dict`` (results never depend on them).
     """
     if getattr(args, "shards", None) is None:
         return data

@@ -4,12 +4,20 @@
 perturbation API of the paper's system model — node joins, leaves,
 deaths (energy-driven or scheduled), state corruptions, and movements —
 plus convergence measurement for the healing experiments.
+
+Every perturbation is a *driver operation* applied exactly as the
+sharded coordinator (:class:`~repro.sim.shard.ShardedSimulation`)
+applies it: operation ``k`` runs as an event under key
+``(DRIVER_BASE + k, -1)`` on its own lane, after every event already
+due at the current time, so an unsharded run follows the same
+trajectory as a sharded one at any shard count.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional, Type
+import itertools
+import random
+from typing import Any, Callable, Dict, List, Optional, Type
 
 from ..geometry import Vec2
 from ..net import (
@@ -22,6 +30,8 @@ from ..net import (
     NodeId,
 )
 from ..sim import PeriodicTimer
+from ..sim.engine import DRIVER_BASE
+from ..sim.rng import derive_seed
 from .config import GS3Config
 from .gs3d import Gs3DynamicNode
 from .gs3s import Gs3StaticNode
@@ -76,6 +86,9 @@ class Gs3DynamicSimulation(Gs3Simulation):
         )
         self.energy: Optional[EnergyTracker] = None
         self._energy_timer: Optional[PeriodicTimer] = None
+        self._op_counter = itertools.count()
+        #: The forwarding plane :meth:`attach_traffic` installed.
+        self.plane = None
 
     @classmethod
     def from_deployment(
@@ -101,12 +114,29 @@ class Gs3DynamicSimulation(Gs3Simulation):
 
     # -- perturbations --------------------------------------------------
 
+    def _operate(self, operation: Callable[[], None]) -> None:
+        """Apply driver operation ``operation`` at the current time.
+
+        Called between runs, it executes (with its same-time follow-ups)
+        before returning; called from an event, it is the next event to
+        run.
+        """
+        self.start()
+        sim = self.runtime.sim
+        lane = DRIVER_BASE + next(self._op_counter)
+        sim.schedule_keyed(sim.now, (lane, -1), operation, lane=lane)
+        if not sim.running:
+            sim.run(until=sim.now)
+
     def kill_node(self, node_id: NodeId) -> None:
         """Unanticipated node leave / fail-stop (no-op on dead nodes)."""
         if not self.network.has_node(node_id):
             return
         if not self.network.node(node_id).alive:
             return  # already dead: don't re-run on_killed or re-trace
+        self._operate(lambda: self._kill(node_id))
+
+    def _kill(self, node_id: NodeId) -> None:
         self.network.kill_node(node_id)
         node = self.runtime.nodes.get(node_id)
         if node is not None and hasattr(node, "on_killed"):
@@ -131,6 +161,9 @@ class Gs3DynamicSimulation(Gs3Simulation):
             return
         if self.network.node(node_id).alive:
             return  # already alive: don't re-run on_revived or re-trace
+        self._operate(lambda: self._revive(node_id))
+
+    def _revive(self, node_id: NodeId) -> None:
         self.network.revive_node(node_id)
         node = self.runtime.nodes.get(node_id)
         if node is not None and hasattr(node, "on_revived"):
@@ -141,31 +174,46 @@ class Gs3DynamicSimulation(Gs3Simulation):
 
     def add_node(self, position: Vec2) -> NodeId:
         """A brand-new node joins the network at ``position``."""
-        phys = self.network.add_node(
+        node_id = self.network.add_node(
             position, max_range=self.config.recommended_max_range
-        )
-        node = self.node_class(self.runtime, phys.node_id)
-        if getattr(self, "_started", False):
-            node.start()
+        ).node_id
+        self._operate(lambda: self._join(node_id))
+        return node_id
+
+    def _join(self, node_id: NodeId) -> None:
+        self.node_class(self.runtime, node_id).start()
         if self.energy is not None:
-            self.energy.add_node(phys.node_id)
-        self.runtime.trace("perturb.join", phys.node_id)
-        return phys.node_id
+            self.energy.add_node(node_id)
+        self.runtime.trace("perturb.join", node_id)
 
     def corrupt_node(
         self,
         node_id: NodeId,
         mutator: Callable = default_corruption,
     ) -> None:
-        """Corrupt a node's protocol state in place."""
+        """Corrupt a node's protocol state in place.
+
+        Each corruption draws from its own derived seed, so the draws
+        do not depend on which shard executes it.
+        """
         node = self.runtime.nodes[node_id]
-        mutator(node, self.runtime.rng.stream("corruption"))
-        self.runtime.trace("perturb.corrupt", node_id)
+        rng = random.Random(
+            derive_seed(self.seed, f"corruption:{next(self._op_counter)}")
+        )
+
+        def corrupt() -> None:
+            mutator(node, rng)
+            self.runtime.trace("perturb.corrupt", node_id)
+
+        self._operate(corrupt)
 
     def move_node(self, node_id: NodeId, new_position: Vec2) -> None:
         """Relocate a node (mobile perturbation)."""
         if not self.network.has_node(node_id):
             return
+        self._operate(lambda: self._move(node_id, new_position))
+
+    def _move(self, node_id: NodeId, new_position: Vec2) -> None:
         old = self.network.node(node_id).position
         self.network.move_node(node_id, new_position)
         node = self.runtime.nodes.get(node_id)
@@ -192,16 +240,47 @@ class Gs3DynamicSimulation(Gs3Simulation):
         window = JamWindow(
             start=begin, end=begin + duration, center=center, radius=radius
         )
-        self.runtime.radio.ensure_fault_model().add_jam_window(window)
-        self.runtime.tracer.emit(
-            self.runtime.sim.now,
-            "perturb.jam",
-            node=None,
-            center=(center.x, center.y),
-            radius=radius,
-            until=window.end,
-        )
+
+        def jam() -> None:
+            self.runtime.radio.ensure_fault_model().add_jam_window(window)
+            self.runtime.tracer.emit(
+                self.runtime.sim.now,
+                "perturb.jam",
+                node=None,
+                center=(center.x, center.y),
+                radius=radius,
+                until=window.end,
+            )
+
+        self._operate(jam)
         return window
+
+    # -- data plane (repro.traffic) --------------------------------------
+
+    def attach_traffic(self, plane_config: Dict[str, Any], stream=None):
+        """Install a forwarding plane (call between runs); returns it.
+
+        ``stream`` optionally spills the plane's records to a
+        :class:`~repro.traffic.stream.JsonlRecordStream`.
+        """
+        from ..traffic.plane import ForwardingPlane
+
+        def attach() -> None:
+            self.plane = ForwardingPlane(
+                self.runtime, dict(plane_config), stream=stream
+            )
+
+        self._operate(attach)
+        return self.plane
+
+    def send_packet(self, packet) -> None:
+        """Originate a data packet at its source, now."""
+        self._operate(lambda: self.plane.inject(packet))
+
+    def send_packet_batch(self, packets) -> None:
+        """Originate a same-source packet batch in one operation."""
+        batch = list(packets)
+        self._operate(lambda: self.plane.inject_batch(batch))
 
     # -- energy-driven death ------------------------------------------------
 

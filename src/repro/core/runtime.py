@@ -10,9 +10,7 @@ construction and register themselves in :attr:`nodes`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict
-
-from typing import Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..geometry import HexLattice, Vec2
 from ..net import ChannelFaultConfig, ChannelManager, Network, NodeId, Radio
@@ -48,6 +46,15 @@ class Gs3Runtime:
         """Emit a trace record stamped with the current virtual time."""
         self.tracer.emit(self.sim.now, category, node=node, **details)
 
+    def boot(self) -> None:
+        """Start every node program, node ``n`` on its own lane ``n``,
+        in ascending id order."""
+        caller = self.sim.current_lane
+        for node_id in sorted(self.nodes):
+            self.sim.set_lane(node_id)
+            self.nodes[node_id].start()
+        self.sim.set_lane(caller)
+
     @staticmethod
     def build(
         network: Network,
@@ -55,13 +62,18 @@ class Gs3Runtime:
         seed: int = 0,
         keep_trace_records: bool = True,
         channel_faults: Optional[ChannelFaultConfig] = None,
+        big_position: Optional[Vec2] = None,
+        channel_outbox: Optional[list] = None,
     ) -> "Gs3Runtime":
         """Construct a runtime around an existing network.
 
         The IL lattice is anchored at the big node's position with the
         configured ``GR`` orientation, mirroring the paper's step 1
         ("cover the system with a hexagonal virtual structure such that
-        the big node is at the geometric center of some cell").
+        the big node is at the geometric center of some cell").  A shard
+        worker, whose stripe may not hold the big node, passes
+        ``big_position``, and ``channel_outbox`` to forward channel
+        reservations to the coordinator's arbiter.
 
         ``channel_faults`` installs an adversarial channel model on the
         radio; combine it with ``config.broadcast_loss == 0`` (Bernoulli
@@ -83,9 +95,15 @@ class Gs3Runtime:
                 else None
             ),
         )
-        channel = ChannelManager(sim, grant_delay=config.hop_latency)
+        channel = ChannelManager(
+            sim, grant_delay=config.hop_latency, outbox=channel_outbox
+        )
         lattice = HexLattice(
-            origin=network.big_node.position,
+            origin=(
+                big_position
+                if big_position is not None
+                else network.big_node.position
+            ),
             spacing=config.lattice_spacing,
             orientation=config.gr_orientation,
         )

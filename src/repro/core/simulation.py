@@ -119,6 +119,7 @@ class Gs3Simulation:
         self.config = config
         self.network = network
         self.node_class = node_class
+        self.seed = seed
         self.runtime = Gs3Runtime.build(
             network,
             config,
@@ -159,12 +160,12 @@ class Gs3Simulation:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        """Boot every node program (idempotent per node)."""
+        """Boot every node program (idempotent), exactly as a shard
+        worker boots its stripe."""
         if getattr(self, "_started", False):
             return
         self._started = True
-        for node in list(self.runtime.nodes.values()):
-            node.start()
+        self.runtime.boot()
 
     def run_to_quiescence(self, max_time: Optional[float] = None) -> float:
         """Run until the event queue drains (or ``max_time``).

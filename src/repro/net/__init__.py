@@ -1,6 +1,6 @@
 """Wireless network substrate: nodes, radio, channel, deployments."""
 
-from .channel import ChannelLease, ChannelManager
+from .channel import ChannelArbiter, ChannelLease, ChannelManager
 from .deployment import (
     Deployment,
     carve_gaps,
@@ -23,6 +23,7 @@ from .radio import DeliveryError, Radio
 from .topology import Network
 
 __all__ = [
+    "ChannelArbiter",
     "ChannelLease",
     "ChannelManager",
     "Deployment",

@@ -6,7 +6,7 @@ Transmission semantics follow Section 2.1 of the paper:
   reliable — acknowledgement and retransmission are assumed below this
   layer;
 * *destination-unaware* transmission (broadcast) may be unreliable —
-  deliveries are decided per receiver, either by the legacy memoryless
+  deliveries are decided per receiver, either by a memoryless
   Bernoulli drop (``broadcast_loss``) or by a full
   :class:`~repro.net.faults.ChannelFaultModel` (bursty Gilbert–Elliott
   loss, latency jitter, duplication, regional jamming).
@@ -16,10 +16,13 @@ so that protocol convergence measured in ticks corresponds to message
 diffusion time, the unit of the paper's convergence bounds.  A fault
 model may add per-delivery jitter on top.
 
-Fast-path contract: with no fault model installed (``faults is None``
-and ``broadcast_loss == 0``) the broadcast loop does no per-delivery
-branching beyond the legacy path — fault support costs nothing when
-off (pinned by ``benchmarks/bench_perf_engine.py``).
+Ordering: every delivery claims one lane key at *send* time, in
+canonical candidate order — from the executing lane, or for data frames
+from the sender's data lane — and fault draws come from per-sender
+streams at send time too, so the trajectory does not depend on where
+(which shard) the receiver is simulated.  With no fault model
+installed (``faults is None`` and ``broadcast_loss == 0``) the
+broadcast loop draws nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ Handler = Callable[[Any, NodeId], None]
 #: lockstep across replicas; data events execute only on the owner, and
 #: claiming from ambient protocol lanes would desynchronise the
 #: replicas (and could mint colliding keys).  Sits below the driver
-#: namespace (``repro.sim.shard.DRIVER_BASE``, ``1 << 60``).
+#: namespace (``repro.sim.engine.DRIVER_BASE``, ``1 << 60``).
 DATA_LANE_BASE = 1 << 59
 
 
@@ -104,16 +107,13 @@ class Radio:
         self._rng = rng or RngStreams(0)
         if faults is None and broadcast_loss:
             faults = ChannelFaultModel(
-                self._rng,
-                bernoulli_loss=broadcast_loss,
-                per_sender=sim.lane_keys,
+                self._rng, bernoulli_loss=broadcast_loss
             )
         self.faults = faults
         self._handlers: Dict[NodeId, Handler] = {}
-        # Sharded execution (lane-keyed mode only): a port deciding
-        # whether a destination is simulated locally and carrying
-        # cross-boundary deliveries to the coordinator.  ``None`` means
-        # every destination is local.
+        # Sharded execution: a port deciding whether a destination is
+        # simulated locally and carrying cross-boundary deliveries to
+        # the coordinator.  ``None`` means every destination is local.
         self.shard_port = None
         # Optional data plane (repro.traffic): claims data-frame
         # payloads on delivery instead of the node's protocol handler.
@@ -139,9 +139,7 @@ class Radio:
         not pay the fault path until the first jam actually arrives.
         """
         if self.faults is None:
-            self.faults = ChannelFaultModel(
-                self._rng, per_sender=self.sim.lane_keys
-            )
+            self.faults = ChannelFaultModel(self._rng)
         return self.faults
 
     # -- transmission -----------------------------------------------------
@@ -165,222 +163,6 @@ class Radio:
         self.tracer.emit(
             self.sim.now, "msg.broadcast", node=sender_id, tx_range=effective
         )
-        if self.sim.lane_keys:
-            return self._broadcast_lane(sender, sender_id, payload, effective)
-        scheduled = 0
-        candidates = self.network.broadcast_candidates(sender_id, effective)
-        faults = self.faults
-        if faults is None:
-            for receiver in candidates:
-                self._schedule_delivery(sender_id, receiver.node_id, payload)
-                scheduled += 1
-            return scheduled
-        now = self.sim.now
-        sender_pos = sender.position
-        schedule = self.sim.schedule
-        hop = self.hop_latency
-        for receiver in candidates:
-            if faults.drop_broadcast(now, sender_pos, receiver.position):
-                self.tracer.emit(
-                    now, "msg.lost", node=receiver.node_id, sender=sender_id
-                )
-                continue
-            deliver = partial(
-                self._deliver, sender_id, receiver.node_id, payload
-            )
-            schedule(hop + faults.extra_latency(), deliver)
-            scheduled += 1
-            for _ in range(faults.extra_copies()):
-                self.tracer.emit(
-                    now, "msg.duplicate", node=receiver.node_id,
-                    sender=sender_id,
-                )
-                schedule(hop + faults.extra_latency(), deliver)
-        return scheduled
-
-    def unicast(self, sender_id: NodeId, dest_id: NodeId, payload: Any) -> bool:
-        """Reliably send ``payload`` to a known destination.
-
-        Unicast is *delivery-reliable even under a fault model*: the
-        paper's destination-aware transmission assumes acknowledgement
-        and retransmission below this layer, so channel loss manifests
-        as latency, never as a silent drop.  Accordingly the fault
-        model contributes only latency jitter here (one extra draw per
-        send); loss, duplication, and jamming apply to broadcasts only.
-
-        Returns:
-            ``True`` if delivery was scheduled; ``False`` when the
-            destination is dead, unknown, or out of range (the sender
-            learns this through the absence of an acknowledgement — in
-            simulation we surface it immediately as a return value).
-        """
-        sender = self.network.node(sender_id)
-        if not sender.alive:
-            return False
-        if not self.network.has_node(dest_id):
-            self.tracer.emit(self.sim.now, "msg.unreachable", node=sender_id)
-            return False
-        dest = self.network.node(dest_id)
-        if not dest.alive or not sender.can_reach(dest.position):
-            self.tracer.emit(self.sim.now, "msg.unreachable", node=sender_id)
-            return False
-        self.tracer.emit(self.sim.now, "msg.unicast", node=sender_id)
-        if self.sim.lane_keys:
-            extra = (
-                self.faults.extra_latency(sender_id)
-                if self.faults is not None
-                else 0.0
-            )
-            key = self.sim.claim_key()
-            self._dispatch(
-                self.sim.now + self.hop_latency + extra,
-                key, sender_id, dest_id, payload,
-            )
-            return True
-        if self.faults is None:
-            self._schedule_delivery(sender_id, dest_id, payload)
-        else:
-            self.sim.schedule(
-                self.hop_latency + self.faults.extra_latency(),
-                partial(self._deliver, sender_id, dest_id, payload),
-            )
-        return True
-
-    def send_data(self, sender_id: NodeId, dest_id: NodeId, payload: Any) -> str:
-        """Best-effort single-hop *data* transmission.
-
-        Unlike :meth:`unicast`, data frames ride the unreliable
-        channel: loss, bursty Gilbert–Elliott states, and jamming
-        windows all apply (link-layer retransmission is not assumed for
-        bulk data), plus latency jitter.  Duplication is skipped (the
-        forwarding plane assumes link-layer dedup).  All draws come
-        from the fault model's dedicated *data* streams
-        (:meth:`~repro.net.faults.ChannelFaultModel.drop_data`): data
-        sends execute only on the sender's owning shard, so letting
-        them advance the protocol streams — which replay on mirror
-        shards too — would desynchronise the replicas and make the
-        trajectory shard-count-dependent.
-
-        Returns one of:
-            ``"sent"`` — delivery scheduled (arrives unless the
-            receiver dies first);
-            ``"dropped"`` — the channel ate the frame (loss or jam);
-            ``"unreachable"`` — destination unknown, dead, or out of
-            range;
-            ``"sender_dead"`` — the sender is no longer alive.
-        """
-        sender = self.network.node(sender_id)
-        if not sender.alive:
-            return "sender_dead"
-        if not self.network.has_node(dest_id):
-            return "unreachable"
-        dest = self.network.node(dest_id)
-        if not dest.alive or not sender.can_reach(dest.position):
-            return "unreachable"
-        now = self.sim.now
-        self.tracer.emit(now, "msg.data", node=sender_id)
-        faults = self.faults
-        if self.sim.lane_keys:
-            extra = 0.0
-            if faults is not None:
-                if faults.drop_data(
-                    now, sender.position, dest.position, sender_id
-                ):
-                    self.tracer.emit(
-                        now, "msg.lost", node=dest_id, sender=sender_id
-                    )
-                    return "dropped"
-                extra = faults.data_latency(sender_id)
-            key = self.sim.claim_key(DATA_LANE_BASE + sender_id)
-            self._dispatch(
-                now + self.hop_latency + extra, key, sender_id, dest_id, payload
-            )
-            return "sent"
-        if faults is not None:
-            if faults.drop_data(now, sender.position, dest.position, sender_id):
-                self.tracer.emit(now, "msg.lost", node=dest_id, sender=sender_id)
-                return "dropped"
-            self.sim.schedule(
-                self.hop_latency + faults.data_latency(sender_id),
-                partial(self._deliver, sender_id, dest_id, payload),
-            )
-            return "sent"
-        self._schedule_delivery(sender_id, dest_id, payload)
-        return "sent"
-
-    def send_data_batch(
-        self, sender_id: NodeId, items: Sequence[Tuple[NodeId, Any]]
-    ) -> List[str]:
-        """Batched :meth:`send_data`: many frames from one sender.
-
-        Semantically identical to calling :meth:`send_data` once per
-        ``(dest_id, payload)`` in item order — per-sender fault draws
-        and lane keys are claimed in exactly that order, so a batched
-        burst and a sequential one produce the same trajectory — but
-        the sender lookup, fault model, and mode dispatch are hoisted
-        out of the loop, which is what keeps 10⁵-packet bursts cheap.
-        """
-        sender = self.network.node(sender_id)
-        if not sender.alive:
-            return ["sender_dead"] * len(items)
-        network = self.network
-        sim = self.sim
-        now = sim.now
-        hop = self.hop_latency
-        faults = self.faults
-        tracer = self.tracer
-        sender_pos = sender.position
-        can_reach = sender.can_reach
-        lane_mode = sim.lane_keys
-        lane = DATA_LANE_BASE + sender_id
-        outcomes: List[str] = []
-        for dest_id, payload in items:
-            if not network.has_node(dest_id):
-                outcomes.append("unreachable")
-                continue
-            dest = network.node(dest_id)
-            if not dest.alive or not can_reach(dest.position):
-                outcomes.append("unreachable")
-                continue
-            tracer.emit(now, "msg.data", node=sender_id)
-            if faults is not None:
-                if faults.drop_data(
-                    now, sender_pos, dest.position, sender_id
-                ):
-                    tracer.emit(
-                        now, "msg.lost", node=dest_id, sender=sender_id
-                    )
-                    outcomes.append("dropped")
-                    continue
-                extra = faults.data_latency(sender_id)
-            else:
-                extra = 0.0
-            if lane_mode:
-                self._dispatch(
-                    now + hop + extra, sim.claim_key(lane),
-                    sender_id, dest_id, payload,
-                )
-            else:
-                sim.schedule(
-                    hop + extra,
-                    partial(self._deliver, sender_id, dest_id, payload),
-                )
-            outcomes.append("sent")
-        return outcomes
-
-    # -- lane-keyed (sharded) transmission -------------------------------
-
-    def _broadcast_lane(
-        self, sender, sender_id: NodeId, payload: Any, effective: float
-    ) -> int:
-        """Broadcast under the lane-key discipline.
-
-        Every delivery — local or cross-shard — claims a key from the
-        sender's lane in canonical candidate order, so lane counters
-        advance identically at every shard count.  Fault draws happen
-        at *send* time per candidate (per-sender streams), never at
-        receive time, for the same reason.
-        """
         sim = self.sim
         now = sim.now
         hop = self.hop_latency
@@ -417,6 +199,149 @@ class Radio:
                 )
         return scheduled
 
+    def unicast(self, sender_id: NodeId, dest_id: NodeId, payload: Any) -> bool:
+        """Reliably send ``payload`` to a known destination.
+
+        Unicast is *delivery-reliable even under a fault model*: the
+        paper's destination-aware transmission assumes acknowledgement
+        and retransmission below this layer, so channel loss manifests
+        as latency, never as a silent drop.  Accordingly the fault
+        model contributes only latency jitter here (one extra draw per
+        send); loss, duplication, and jamming apply to broadcasts only.
+
+        Returns:
+            ``True`` if delivery was scheduled; ``False`` when the
+            destination is dead, unknown, or out of range (the sender
+            learns this through the absence of an acknowledgement — in
+            simulation we surface it immediately as a return value).
+        """
+        sender = self.network.node(sender_id)
+        if not sender.alive:
+            return False
+        if not self.network.has_node(dest_id):
+            self.tracer.emit(self.sim.now, "msg.unreachable", node=sender_id)
+            return False
+        dest = self.network.node(dest_id)
+        if not dest.alive or not sender.can_reach(dest.position):
+            self.tracer.emit(self.sim.now, "msg.unreachable", node=sender_id)
+            return False
+        self.tracer.emit(self.sim.now, "msg.unicast", node=sender_id)
+        extra = (
+            self.faults.extra_latency(sender_id)
+            if self.faults is not None
+            else 0.0
+        )
+        self._dispatch(
+            self.sim.now + self.hop_latency + extra,
+            self.sim.claim_key(), sender_id, dest_id, payload,
+        )
+        return True
+
+    def send_data(self, sender_id: NodeId, dest_id: NodeId, payload: Any) -> str:
+        """Best-effort single-hop *data* transmission.
+
+        Unlike :meth:`unicast`, data frames ride the unreliable
+        channel: loss, bursty Gilbert–Elliott states, and jamming
+        windows all apply (link-layer retransmission is not assumed for
+        bulk data), plus latency jitter.  Duplication is skipped (the
+        forwarding plane assumes link-layer dedup).  All draws come
+        from the fault model's dedicated *data* streams
+        (:meth:`~repro.net.faults.ChannelFaultModel.drop_data`): data
+        sends execute only on the sender's owning shard, so letting
+        them advance the protocol streams — which replay on mirror
+        shards too — would desynchronise the replicas and make the
+        trajectory shard-count-dependent.
+
+        Returns one of:
+            ``"sent"`` — delivery scheduled (arrives unless the
+            receiver dies first);
+            ``"dropped"`` — the channel ate the frame (loss or jam);
+            ``"unreachable"`` — destination unknown, dead, or out of
+            range;
+            ``"sender_dead"`` — the sender is no longer alive.
+        """
+        sender = self.network.node(sender_id)
+        if not sender.alive:
+            return "sender_dead"
+        if not self.network.has_node(dest_id):
+            return "unreachable"
+        dest = self.network.node(dest_id)
+        if not dest.alive or not sender.can_reach(dest.position):
+            return "unreachable"
+        now = self.sim.now
+        self.tracer.emit(now, "msg.data", node=sender_id)
+        faults = self.faults
+        extra = 0.0
+        if faults is not None:
+            if faults.drop_data(
+                now, sender.position, dest.position, sender_id
+            ):
+                self.tracer.emit(
+                    now, "msg.lost", node=dest_id, sender=sender_id
+                )
+                return "dropped"
+            extra = faults.data_latency(sender_id)
+        key = self.sim.claim_key(DATA_LANE_BASE + sender_id)
+        self._dispatch(
+            now + self.hop_latency + extra, key, sender_id, dest_id, payload
+        )
+        return "sent"
+
+    def send_data_batch(
+        self, sender_id: NodeId, items: Sequence[Tuple[NodeId, Any]]
+    ) -> List[str]:
+        """Batched :meth:`send_data`: many frames from one sender.
+
+        Semantically identical to calling :meth:`send_data` once per
+        ``(dest_id, payload)`` in item order — per-sender fault draws
+        and lane keys are claimed in exactly that order, so a batched
+        burst and a sequential one produce the same trajectory — but
+        the sender lookup and fault model are hoisted out of the loop,
+        which is what keeps 10⁵-packet bursts cheap.
+        """
+        sender = self.network.node(sender_id)
+        if not sender.alive:
+            return ["sender_dead"] * len(items)
+        network = self.network
+        sim = self.sim
+        now = sim.now
+        hop = self.hop_latency
+        faults = self.faults
+        tracer = self.tracer
+        sender_pos = sender.position
+        can_reach = sender.can_reach
+        lane = DATA_LANE_BASE + sender_id
+        outcomes: List[str] = []
+        for dest_id, payload in items:
+            if not network.has_node(dest_id):
+                outcomes.append("unreachable")
+                continue
+            dest = network.node(dest_id)
+            if not dest.alive or not can_reach(dest.position):
+                outcomes.append("unreachable")
+                continue
+            tracer.emit(now, "msg.data", node=sender_id)
+            if faults is not None:
+                if faults.drop_data(
+                    now, sender_pos, dest.position, sender_id
+                ):
+                    tracer.emit(
+                        now, "msg.lost", node=dest_id, sender=sender_id
+                    )
+                    outcomes.append("dropped")
+                    continue
+                extra = faults.data_latency(sender_id)
+            else:
+                extra = 0.0
+            self._dispatch(
+                now + hop + extra, sim.claim_key(lane),
+                sender_id, dest_id, payload,
+            )
+            outcomes.append("sent")
+        return outcomes
+
+    # -- internals -----------------------------------------------------------
+
     def _dispatch(
         self,
         arrival: float,
@@ -435,19 +360,6 @@ class Radio:
             )
         else:
             port.send_delivery(arrival, key, sender_id, dest_id, payload)
-
-    # -- internals -----------------------------------------------------------
-
-    def _schedule_delivery(
-        self, sender_id: NodeId, dest_id: NodeId, payload: Any
-    ) -> None:
-        # One shared deliver method with bound args: ``partial`` over a
-        # bound method allocates far less than defining a fresh closure
-        # (code object + cells) per scheduled message, and deliveries
-        # dominate allocation on broadcast-heavy runs.
-        self.sim.schedule(
-            self.hop_latency, partial(self._deliver, sender_id, dest_id, payload)
-        )
 
     def _deliver(self, sender_id: NodeId, dest_id: NodeId, payload: Any) -> None:
         if not self.network.has_node(dest_id):

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..geometry import Disk, Vec2
-from ..sim import RngStreams, SweepRunner, replicate_seed
-from ..sim.metrics import percentile as sim_percentile
+from ..sim import RngStreams, SweepRunner, percentile, replicate_seed
 from ..sim.parallel import ReplicateOutcome
 from .events import PerturbationEvent, RegionJam
 from .injector import PerturbationInjector
@@ -250,9 +249,9 @@ def build_campaign_simulation(
 
     Shared by the chaos verdict runner and the traffic engine so both
     construct byte-for-byte identical simulations from the same spec:
-    legacy in-process by default, the sharded facade when ``shards`` is
-    set (which rejects mobility — cross-region moves would be refused
-    mid-campaign).
+    in-process by default, the sharded facade when ``shards`` is set
+    (which rejects mobility — cross-region moves would be refused
+    mid-campaign).  Both follow the same trajectory.
     """
     # Function-level imports keep this module import-light for the
     # pool workers and avoid package-init ordering knots.
@@ -344,7 +343,7 @@ def _run_chaos_verdict(
 
     With a ``traffic`` block, a data-plane workload is generated over
     the chaos window and forwarded hop-by-hop while the structure is
-    being damaged; its :func:`~repro.traffic.build_traffic_report`
+    being damaged; its :func:`~repro.traffic.fold_traffic_report`
     joins the verdict under ``"traffic"`` (single router: the first of
     the block's ``routers``).
     """
@@ -383,7 +382,7 @@ def _run_chaos_verdict(
         plane = attach_plane(
             simulation, traffic_config.plane_config(traffic_config.routers[0])
         )
-        schedule_packets(simulation, plane, packets)
+        schedule_packets(simulation, packets)
     simulation.run_for(chaos.duration)
     chaos_end = simulation.now
     report = simulation.stabilize(
@@ -420,6 +419,17 @@ def _run_chaos_verdict(
         root_regenerations=simulation.tracer.count("root.regenerate"),
         traffic=traffic_report,
     ).to_dict()
+
+
+#: Execution knobs that never change a payload — supervised, sharded and
+#: unsharded campaigns are byte-identical by contract — and so never
+#: join a stored run's identity.
+EXECUTION_KEYS = ("supervise", "shards", "shard_executor")
+
+
+def run_identity(data: Dict[str, Any]) -> Dict[str, Any]:
+    """The part of a campaign dict that keys its stored run."""
+    return {k: v for k, v in data.items() if k not in EXECUTION_KEYS}
 
 
 def run_chaos_campaigns(
@@ -470,10 +480,7 @@ def run_chaos_campaigns(
         retry_policy=retry_policy,
         infra_chaos=infra_chaos,
     )
-    # The ``supervise`` block never joins the run identity: a
-    # supervised campaign's payload is byte-identical to an
-    # unsupervised one, so both resolve to the same stored run.
-    key_data = {k: v for k, v in data.items() if k != "supervise"}
+    key_data = run_identity(data)
     try:
         if store is None:
             return runner.run(specs)
@@ -487,11 +494,6 @@ def run_chaos_campaigns(
     finally:
         if supervision_log is not None:
             supervision_log.absorb(runner.last_supervision)
-
-
-# Verdict summaries share the repo-wide nearest-rank convention; the
-# single validated implementation lives in ``repro.sim.metrics``.
-_percentile = sim_percentile
 
 
 def summarize_verdicts(
@@ -523,8 +525,8 @@ def summarize_verdicts(
     }
     summary["healing_time"] = (
         {
-            "p50": _percentile(times, 0.50),
-            "p90": _percentile(times, 0.90),
+            "p50": percentile(times, 0.50),
+            "p90": percentile(times, 0.90),
             "max": times[-1],
         }
         if times

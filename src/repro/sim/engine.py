@@ -4,21 +4,49 @@ The GS3 protocols are specified as guarded-command programs whose
 modules execute atomically.  We reproduce that execution model with a
 classic discrete-event simulator: every module execution, message
 delivery, and timer expiry is an *event* at a virtual time, and events
-are executed one at a time in timestamp order (FIFO among equal
-timestamps), which preserves the paper's atomicity assumption.
+are executed one at a time in timestamp order, which preserves the
+paper's atomicity assumption.
 
 Virtual time is measured in abstract *ticks*; the network layer charges
 one tick per local message exchange, so convergence times measured in
 ticks are directly comparable to the paper's diffusion-time bounds
 (theta(D_b), O(D_p), ...).
 
-Performance notes: heap entries are plain ``(time, seq, event)``
+Ordering: every event carries a *lane key* ``(origin_lane,
+origin_seq)`` claimed from the lane that scheduled it, and the engine
+executes events in ``(time, key)`` order.  Each lane's counter advances
+only with that lane's own deterministic execution, so the key assigned
+to an event is independent of how the overall event population is
+interleaved.  That is what lets a spatially sharded run
+(``repro.sim.shard``) reproduce the exact execution order of an
+unsharded one at any shard count.  A node's lane is its id; the run
+loop switches the current lane to each event's *execution* lane before
+invoking its callback, so anything the callback schedules claims from
+that lane.  Code running outside any event claims from the current
+lane, :data:`CALLER_LANE` unless a driver switched it; a simulator used
+on that one lane alone orders equal-time events FIFO.
+
+The lane namespace (all lanes sort by plain integer value):
+
+* ``ARBITER_LANE`` (-1, ``repro.net.channel``): channel-reservation
+  arbitration, keyed ``(-1, lane, seq)`` by the claim key of the
+  request or release it processes, first at its time;
+* node ids (small ints): protocol events;
+* :data:`CHANNEL_LANE` (``1 << 59``): channel grants, after every node
+  event of the same time;
+* ``DATA_LANE_BASE + node`` (``repro.net.radio``, also ``1 << 59``):
+  data-plane frames and retries;
+* :data:`DRIVER_BASE` ``+ k`` (``1 << 60``): driver operation ``k``
+  (kill, join, corrupt, jam, packet injection) and everything it
+  schedules;
+* :data:`CALLER_LANE` (``1 << 61``): code outside any event, e.g.
+  driver callbacks armed with :meth:`Simulator.schedule_at`.
+
+Performance notes: heap entries are plain ``(time, key, event)``
 tuples, so ``heapq`` orders them with C tuple comparison and never
-falls back to rich comparison on the event record itself.  ``Event``
-is a ``__slots__`` record (no dict, no dataclass ``__eq__``/``__lt__``
-machinery), and the ``run`` loop binds the heap operations locally —
-together these roughly double raw dispatch throughput over the
-previous ``@dataclass(order=True)`` implementation (see
+falls back to rich comparison on the event record itself (keys are
+unique).  ``Event`` is a ``__slots__`` record, and the ``run`` loop
+binds the heap operations locally (see
 ``benchmarks/results/BENCH_perf.json``).
 
 Recurring timers (one heartbeat per node — 100k of them at target
@@ -28,41 +56,49 @@ bucket_width``).  Each bucket is a small heap, and a secondary heap of
 per-bucket minima merges the wheel with the one-shot heap in the run
 loop.  Re-arming a heartbeat then costs ``O(log bucket)`` on a bucket
 holding only the timers due in one wheel slot, instead of ``O(log n)``
-on a global heap holding every pending timer in the system.
-
-Determinism contract: a wheel entry is assigned its ``(time, seq)``
-key *at arm time* from the same ``seq`` counter as one-shot events,
-and the run loop always executes the globally smallest ``(time,
-seq)`` across both structures — so a run's event order (and therefore
-its trajectory) is bit-identical to the single-heap engine's.
-
-Lane-keyed mode (``lane_keys=True``) replaces the global ``seq``
-counter with per-*lane* counters: every event carries a key
-``(origin_lane, origin_seq)`` claimed from the lane that scheduled it,
-and equal-time ties break on that key instead of global arrival
-order.  Because each lane's counter advances only with that lane's own
-deterministic execution, the key assigned to an event is independent
-of how the overall event population is interleaved — which is what
-lets a spatially sharded run (``repro.sim.shard``) reproduce the
-exact same execution order at any shard count.  Legacy mode is the
-default and its key layout, hot loop, and trajectories are unchanged.
+on a global heap holding every pending timer in the system.  A wheel
+entry claims its key *at arm time* exactly like a one-shot event, and
+the run loop always executes the globally smallest ``(time, key)``
+across both structures, so the wheel is invisible to the trajectory.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 __all__ = [
+    "CALLER_LANE",
+    "CHANNEL_LANE",
+    "DRIVER_BASE",
     "Event",
     "EventHandle",
     "PeriodicTimer",
     "SimulationError",
     "Simulator",
 ]
+
+#: Lane of channel-reservation grants.  Sorts after every node lane
+#: (node ids are small ints), so same-time grants run after node events.
+CHANNEL_LANE = 1 << 59
+
+#: Base lane for driver (perturbation) operations; operation ``k`` owns
+#: lane ``DRIVER_BASE + k``.  Everything an operation schedules —
+#: including follow-on chains like a joined node's heartbeat — keeps
+#: claiming from this lane, which is globally unique per operation and
+#: therefore shard-count invariant.
+DRIVER_BASE = 1 << 60
+
+#: The default lane: code scheduling outside any event claims from it.
+#: It sorts after every other lane, so a driver callback armed for time
+#: ``t`` runs after all of ``t``'s protocol and operation events.
+CALLER_LANE = 1 << 61
+
+#: An event's ordering key: ``(origin_lane, origin_seq)`` (arbitration
+#: events prefix a claimed key with their own lane).
+Key = Tuple[int, ...]
 
 
 class SimulationError(RuntimeError):
@@ -72,26 +108,31 @@ class SimulationError(RuntimeError):
 class Event:
     """A scheduled callback, doubling as its own cancellation handle.
 
-    Heap ordering lives in the ``(time, seq)`` tuple wrapped around the
-    record, not on the record itself (``seq`` breaks ties, so the
-    record is never compared).  ``cancelled`` and ``consumed`` are
-    mutually exclusive: an event is *pending* until it is either
-    cancelled (before it runs) or consumed (when the simulator pops and
-    executes it).  Folding the handle into the record keeps the
-    schedule path at one allocation per event.
+    Heap ordering lives in the ``(time, key)`` tuple wrapped around the
+    record, not on the record itself (keys are unique, so the record is
+    never compared).  ``lane`` is the execution lane the run loop
+    switches to before invoking ``callback``.  ``cancelled`` and
+    ``consumed`` are mutually exclusive: an event is *pending* until it
+    is either cancelled (before it runs) or consumed (when the
+    simulator pops and executes it).  Folding the handle into the
+    record keeps the schedule path at one allocation per event.
     """
 
     __slots__ = ("time", "callback", "cancelled", "consumed", "lane", "_sim")
 
     def __init__(
-        self, sim: "Simulator", time: float, callback: Callable[[], None]
+        self,
+        sim: "Simulator",
+        time: float,
+        callback: Callable[[], None],
+        lane: int,
     ):
         self._sim = sim
         self.time = time
         self.callback = callback
         self.cancelled = False
         self.consumed = False
-        self.lane = None
+        self.lane = lane
 
     @property
     def active(self) -> bool:
@@ -117,26 +158,18 @@ class Simulator:
     The simulator is deliberately minimal: protocol logic lives in the
     network and core packages and registers plain callbacks.  Fairness
     (the paper's weak-fairness assumption on guarded commands) follows
-    from FIFO execution of equal-timestamp events.
+    from executing equal-time events in lane-key order.
     """
 
     def __init__(
         self,
         max_events: int = 50_000_000,
         timer_bucket_width: Optional[float] = None,
-        lane_keys: bool = False,
     ):
-        self._queue: List[Tuple[float, int, Event]] = []
-        self._seq = itertools.count()
-        # -- lane-keyed mode ----------------------------------------------
-        # Keys become (origin_lane, origin_seq) tuples claimed from
-        # per-lane counters; the run loop switches the current lane to
-        # each event's execution lane before invoking its callback, so
-        # anything the callback schedules claims from that lane.  A
-        # simulator never mixes int and tuple keys: the mode is fixed at
-        # construction.
-        self._lane_keys = lane_keys
-        self._lane: Optional[int] = None
+        self._queue: List[Tuple[float, Key, Event]] = []
+        # The lane new events claim keys from, and each lane's next
+        # sequence number.
+        self._lane = CALLER_LANE
         self._lane_counters: dict = {}
         self._now = 0.0
         self._executed = 0
@@ -144,16 +177,17 @@ class Simulator:
         self._max_events = max_events
         self._running = False
         # -- timer wheel (recurring events) --------------------------------
-        # Buckets keyed by int(time // width); each bucket is a heap of
-        # (time, seq, event) entries.  ``_wheel_minheap`` holds
-        # (time, seq, bucket_key) for every entry that has ever been a
+        # Buckets keyed by slot int(time // width); each bucket is a heap
+        # of (time, key, event) entries.  ``_wheel_minheap`` holds
+        # (time, key, slot) for every entry that has ever been a
         # bucket minimum (stale entries are dropped lazily), and
-        # ``_wheel_min`` caches the exact current global minimum key so
-        # the run loop can merge wheel and heap with two comparisons.
+        # ``_wheel_min`` caches the exact current global minimum
+        # (time, key) so the run loop can merge wheel and heap with two
+        # comparisons.
         self._wheel_width = timer_bucket_width
         self._wheel_buckets: dict = {}
-        self._wheel_minheap: List[Tuple[float, int, int]] = []
-        self._wheel_min: Optional[Tuple[float, int]] = None
+        self._wheel_minheap: List[Tuple[float, Key, int]] = []
+        self._wheel_min: Optional[Tuple[float, Key]] = None
 
     # -- clock -----------------------------------------------------------
 
@@ -194,30 +228,31 @@ class Simulator:
         """
         return self._live
 
-    # -- lanes (lane_keys mode only) ---------------------------------------
+    @property
+    def running(self) -> bool:
+        """Whether :meth:`run` or :meth:`step` is executing an event."""
+        return self._running
+
+    # -- lanes -------------------------------------------------------------
 
     @property
-    def lane_keys(self) -> bool:
-        """Whether this simulator orders equal-time events by lane key."""
-        return self._lane_keys
-
-    @property
-    def current_lane(self) -> Optional[int]:
+    def current_lane(self) -> int:
         """The lane whose counter new events claim keys from."""
         return self._lane
 
-    def set_lane(self, lane: Optional[int]) -> Optional[int]:
+    def set_lane(self, lane: int) -> int:
         """Switch the current lane; returns the previous lane.
 
         Used by drivers that schedule from *outside* any event callback
-        (node boot, barrier injections); within callbacks the run loop
-        sets the lane to the executing event's lane automatically.
+        (node boot); within callbacks the run loop sets the lane to the
+        executing event's lane automatically, and restores the caller's
+        lane when it returns.
         """
         previous = self._lane
         self._lane = lane
         return previous
 
-    def claim_key(self, lane: Optional[int] = None) -> Tuple[int, int]:
+    def claim_key(self, lane: Optional[int] = None) -> Key:
         """Claim the next ``(origin_lane, origin_seq)`` key from the
         current lane — or an explicit ``lane`` — without scheduling
         anything.
@@ -233,10 +268,6 @@ class Simulator:
         """
         if lane is None:
             lane = self._lane
-        if lane is None:
-            raise SimulationError(
-                "lane-keyed scheduling requires a lane context"
-            )
         counters = self._lane_counters
         n = counters.get(lane, 0)
         counters[lane] = n + 1
@@ -245,7 +276,7 @@ class Simulator:
     def schedule_keyed(
         self,
         time: float,
-        key: Tuple[int, int],
+        key: Key,
         callback: Callable[[], None],
         lane: int,
     ) -> EventHandle:
@@ -253,16 +284,13 @@ class Simulator:
 
         ``lane`` is the *execution* lane the run loop switches to before
         invoking the callback (for a radio delivery: the destination
-        node's lane).  Only valid in lane-keyed mode.
+        node's lane).
         """
-        if not self._lane_keys:
-            raise SimulationError("schedule_keyed requires lane_keys mode")
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self._now}"
             )
-        event = Event(self, time, callback)
-        event.lane = lane
+        event = Event(self, time, callback, lane)
         heapq.heappush(self._queue, (time, key, event))
         self._live += 1
         return event
@@ -279,13 +307,12 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
         time = self._now + delay
-        event = Event(self, time, callback)
-        if self._lane_keys:
-            key = self.claim_key()
-            event.lane = self._lane
-        else:
-            key = next(self._seq)
-        _push(self._queue, (time, key, event))
+        lane = self._lane
+        event = Event(self, time, callback, lane)
+        counters = self._lane_counters
+        n = counters.get(lane, 0)
+        counters[lane] = n + 1
+        _push(self._queue, (time, (lane, n), event))
         self._live += 1
         return event
 
@@ -300,19 +327,18 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self._now}"
             )
-        event = Event(self, time, callback)
-        if self._lane_keys:
-            key = self.claim_key()
-            event.lane = self._lane
-        else:
-            key = next(self._seq)
-        _push(self._queue, (time, key, event))
+        lane = self._lane
+        event = Event(self, time, callback, lane)
+        counters = self._lane_counters
+        n = counters.get(lane, 0)
+        counters[lane] = n + 1
+        _push(self._queue, (time, (lane, n), event))
         self._live += 1
         return event
 
     def call_soon(self, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at the current time (after pending
-        same-time events)."""
+        same-time events of the current lane)."""
         return self.schedule(0.0, callback)
 
     # -- the timer wheel ---------------------------------------------------
@@ -326,7 +352,7 @@ class Simulator:
         """Schedule ``callback`` via the timer wheel.
 
         Semantically identical to :meth:`schedule` (same clock, same
-        ``seq`` counter, same cancellation handle, counted by
+        lane key, same cancellation handle, counted by
         :attr:`pending_events`), but the pending entry lives in a
         calendar-queue bucket instead of the global heap — the arming
         path for *recurring* timers, where the population is large and
@@ -340,28 +366,24 @@ class Simulator:
             hint = interval_hint if interval_hint else delay
             self._wheel_width = hint if hint > 0 else 1.0
         time = self._now + delay
-        event = Event(self, time, callback)
-        if self._lane_keys:
-            seq = self.claim_key()
-            event.lane = self._lane
-        else:
-            seq = next(self._seq)
-        key = int(time // self._wheel_width)
-        bucket = self._wheel_buckets.get(key)
-        entry = (time, seq, event)
+        key = self.claim_key()
+        event = Event(self, time, callback, self._lane)
+        slot = int(time // self._wheel_width)
+        bucket = self._wheel_buckets.get(slot)
+        entry = (time, key, event)
         if bucket is None:
-            self._wheel_buckets[key] = [entry]
-            heapq.heappush(self._wheel_minheap, (time, seq, key))
+            self._wheel_buckets[slot] = [entry]
+            heapq.heappush(self._wheel_minheap, (time, key, slot))
         else:
             heapq.heappush(bucket, entry)
             if bucket[0] is entry:
                 # New bucket minimum: publish it to the merge heap (the
                 # superseded minimum's entry goes stale and is dropped
                 # lazily).
-                heapq.heappush(self._wheel_minheap, (time, seq, key))
+                heapq.heappush(self._wheel_minheap, (time, key, slot))
         wheel_min = self._wheel_min
-        if wheel_min is None or (time, seq) < wheel_min:
-            self._wheel_min = (time, seq)
+        if wheel_min is None or (time, key) < wheel_min:
+            self._wheel_min = (time, key)
         self._live += 1
         return event
 
@@ -376,12 +398,12 @@ class Simulator:
         buckets = self._wheel_buckets
         popped: Optional[Event] = None
         while minheap:
-            time, seq, key = minheap[0]
-            bucket = buckets.get(key)
+            time, key, slot = minheap[0]
+            bucket = buckets.get(slot)
             if (
                 bucket is None
                 or bucket[0][0] != time
-                or bucket[0][1] != seq
+                or bucket[0][1] != key
             ):
                 # Stale: this entry stopped being its bucket's minimum
                 # (a smaller insert superseded it, or the bucket is
@@ -395,17 +417,17 @@ class Simulator:
                 popped = entry[2]
                 if bucket:
                     head = bucket[0]
-                    heapq.heappush(minheap, (head[0], head[1], key))
+                    heapq.heappush(minheap, (head[0], head[1], slot))
                 else:
-                    del buckets[key]
+                    del buckets[slot]
                 continue  # loop once more to normalise the new top
-            self._wheel_min = (time, seq)
+            self._wheel_min = (time, key)
             return popped
         self._wheel_min = None
         return popped
 
-    def _wheel_peek(self) -> Optional[Tuple[float, int]]:
-        """Exact minimum (time, seq) of a *live* wheel entry, or None.
+    def _wheel_peek(self) -> Optional[Tuple[float, Key]]:
+        """Exact minimum (time, key) of a *live* wheel entry, or None.
 
         Unlike ``_wheel_min`` (which may reference a cancelled entry,
         mirroring the heap's lazy deletion), this discards cancelled
@@ -415,8 +437,8 @@ class Simulator:
             wheel_min = self._wheel_min
             if wheel_min is None:
                 return None
-            key = int(wheel_min[0] // self._wheel_width)
-            bucket = self._wheel_buckets.get(key)
+            slot = int(wheel_min[0] // self._wheel_width)
+            bucket = self._wheel_buckets.get(slot)
             if bucket is not None and bucket[0][2].cancelled:
                 self._wheel_pop()
                 continue
@@ -431,6 +453,8 @@ class Simulator:
             ``True`` if an event was executed, ``False`` if the queue
             was empty.
         """
+        if self._running:
+            raise SimulationError("simulator is not re-entrant")
         queue = self._queue
         while True:
             wheel_min = self._wheel_min
@@ -462,9 +486,14 @@ class Simulator:
                     f"exceeded max_events={self._max_events}; "
                     "likely a runaway protocol loop"
                 )
-            if self._lane_keys:
-                self._lane = event.lane
-            event.callback()
+            caller_lane = self._lane
+            self._running = True
+            self._lane = event.lane
+            try:
+                event.callback()
+            finally:
+                self._running = False
+                self._lane = caller_lane
             return True
 
     def run(self, until: Optional[float] = None) -> float:
@@ -476,14 +505,14 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
+        caller_lane = self._lane
         queue = self._queue
         pop = heapq.heappop
         max_events = self._max_events
         no_deadline = until is None
-        lane_keys = self._lane_keys
         try:
             while True:
-                # Pick the globally smallest (time, seq) across the
+                # Pick the globally smallest (time, key) across the
                 # one-shot heap and the timer wheel; with an empty
                 # wheel this costs one attribute load and a None test
                 # per event over the pure-heap loop.
@@ -529,11 +558,11 @@ class Simulator:
                         f"exceeded max_events={max_events}; "
                         "likely a runaway protocol loop"
                     )
-                if lane_keys:
-                    self._lane = event.lane
+                self._lane = event.lane
                 event.callback()
         finally:
             self._running = False
+            self._lane = caller_lane
         if (
             until is not None
             and self._now < until

@@ -13,17 +13,17 @@ Determinism contract (pinned by ``tests/sim/test_shard.py``):
 
 * A run at ``shards=N`` is **byte-identical** — same ``state_digest``,
   same trace-record multiset, same chaos verdicts — to the same
-  scenario at ``shards=1``, for any ``N`` and for both the in-process
-  round-robin executor and the process-pool executor.  The identity is
-  *mode-relative*: sharded runs (including ``shards=1``) use the
-  lane-keyed engine ordering and therefore produce a different —
-  equally valid — trajectory than the legacy single-simulator path;
-  scenarios without a ``shards`` knob are untouched.
+  scenario run unsharded (``Gs3DynamicSimulation``) and at
+  ``shards=1``, for any ``N`` and for both the in-process round-robin
+  executor and the process-pool executor.  There is one trajectory per
+  seed: the unsharded driver uses the same engine ordering, fault
+  streams, channel arbitration and driver-operation lanes.
 * Equal-time events are ordered by ``(time, (origin_lane, origin_seq))``
-  keys.  A node's lane is its id; every radio delivery claims one key
-  from the sender's lane in canonical (ascending receiver id) candidate
-  order, whether the destination is local or remote, so lane counters
-  advance identically at every shard count.
+  keys (:mod:`repro.sim.engine`).  A node's lane is its id; every radio
+  delivery claims one key from the sender's lane in canonical
+  (ascending receiver id) candidate order, whether the destination is
+  local or remote, so lane counters advance identically at every shard
+  count.
 * Channel-fault draws use per-sender streams
   (``radio.loss.<sender>`` …) drawn at *send* time, so fault outcomes
   do not depend on which shard hosts the receiver.
@@ -38,9 +38,9 @@ the neighbouring shards' ``Network`` views; mirrors carry physical
 state only (position, liveness, range) and never run node programs.
 Cross-boundary radio deliveries are the only inter-shard events; they
 are exchanged at barriers and injected with their pre-claimed keys.
-The HEAD_ORG channel reservation is mediated at the coordinator with
-the legacy ``ChannelManager`` semantics shifted by one lookahead
-(request and release take one hop to reach the mediator).
+The HEAD_ORG channel reservation is arbitrated at the coordinator by
+the one :class:`~repro.net.channel.ChannelArbiter` (request and release
+take one hop — one lookahead — to reach it).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .engine import SimulationError, Simulator
+from .engine import DRIVER_BASE, SimulationError
 from .rng import RngStreams, derive_seed
 from .supervise import (
     FrameCorruption,
@@ -70,28 +70,14 @@ from .supervise import (
     recv_frame,
     send_frame,
 )
-from .tracing import TraceRecord, Tracer
+from .tracing import TraceRecord
 
 __all__ = [
-    "CHANNEL_LANE",
-    "DRIVER_BASE",
     "ShardedSimulation",
     "ShardError",
     "plan_partition",
     "shard_seed",
 ]
-
-#: Lane for coordinator-issued channel grants.  Sorts after every node
-#: lane (node ids are small ints) so same-time grants run after node
-#: events, at any shard count.
-CHANNEL_LANE = 1 << 59
-
-#: Base lane for driver (perturbation) operations; operation ``k`` owns
-#: lane ``DRIVER_BASE + k``.  Everything a perturbation schedules —
-#: including follow-on chains like a joined node's heartbeat — keeps
-#: claiming from this lane, which is globally unique per operation and
-#: therefore shard-count invariant.
-DRIVER_BASE = 1 << 60
 
 
 class ShardError(RuntimeError):
@@ -210,62 +196,6 @@ class _ShardPort:
         )
 
 
-class LaneChannel:
-    """Shard-side stub of :class:`~repro.net.channel.ChannelManager`.
-
-    Requests and releases are forwarded to the coordinator's mediator
-    (one lookahead away, like any transmission); grants come back as
-    barrier injections.  Lease ids are the claimed lane keys, globally
-    unique and shard-count invariant.
-    """
-
-    def __init__(self, sim: Simulator, outbox: List[tuple]):
-        self.sim = sim
-        self.outbox = outbox
-        self._leases: Dict[tuple, tuple] = {}
-
-    def request(self, node_id, center, radius, on_grant):
-        from ..net.channel import ChannelLease
-
-        key = self.sim.claim_key()
-        lease = ChannelLease(key, node_id, center, radius)
-        self._leases[key] = (lease, on_grant)
-        self.outbox.append(
-            (
-                "chan_req",
-                self.sim.now,
-                key,
-                node_id,
-                (center.x, center.y),
-                radius,
-            )
-        )
-        return lease
-
-    def release(self, lease) -> None:
-        if lease.released:
-            return
-        lease.released = True
-        lease.active = False
-        self.outbox.append(
-            ("chan_rel", self.sim.now, self.sim.claim_key(), lease.lease_id)
-        )
-
-    def fire_grant(self, lease_id) -> None:
-        entry = self._leases.get(lease_id)
-        if entry is None:
-            return
-        lease, on_grant = entry
-        if lease.released:
-            return
-        lease.active = True
-        on_grant(lease)
-
-    def lane_of(self, lease_id) -> Optional[int]:
-        entry = self._leases.get(lease_id)
-        return entry[0].node_id if entry is not None else None
-
-
 _NODE_KINDS = ("static", "dynamic")
 
 
@@ -300,8 +230,7 @@ class ShardWorker:
         from ..core.gs3d import Gs3DynamicNode
         from ..core.gs3s import Gs3StaticNode
         from ..core.runtime import Gs3Runtime
-        from ..geometry import HexLattice
-        from ..net import Radio, deployment_from_spec
+        from ..net import deployment_from_spec
 
         if spec.node_kind not in _NODE_KINDS:
             raise ShardError(f"unsupported node kind {spec.node_kind!r}")
@@ -322,42 +251,20 @@ class ShardWorker:
                 network.remove_node(node_id)
         self.owned: Set[int] = set(spec.owned)
         self.outbox: List[tuple] = []
-        sim = Simulator(lane_keys=True)
-        if spec.max_events is not None:
-            sim.max_events = spec.max_events
-        tracer = Tracer(keep_records=spec.keep_trace_records)
-        rng = RngStreams(spec.seed)
-        radio = Radio(
+        self.runtime = Gs3Runtime.build(
             network,
-            sim,
-            tracer=tracer,
-            rng=rng,
-            broadcast_loss=config.broadcast_loss,
-            hop_latency=config.hop_latency,
-            faults=(
-                spec.channel.build(rng, per_sender=True)
-                if spec.channel is not None
-                else None
-            ),
+            config,
+            seed=spec.seed,
+            keep_trace_records=spec.keep_trace_records,
+            channel_faults=spec.channel,
+            big_position=deployment.big_position,
+            channel_outbox=self.outbox,
         )
-        radio.shard_port = _ShardPort(self.owned, self.outbox)
-        self.channel = LaneChannel(sim, self.outbox)
-        lattice = HexLattice(
-            origin=deployment.big_position,
-            spacing=config.lattice_spacing,
-            orientation=config.gr_orientation,
-        )
-        self.runtime = Gs3Runtime(
-            config=config,
-            sim=sim,
-            network=network,
-            radio=radio,
-            channel=self.channel,
-            tracer=tracer,
-            rng=rng,
-            lattice=lattice,
-        )
-        self.sim = sim
+        self.runtime.radio.shard_port = _ShardPort(self.owned, self.outbox)
+        self.channel = self.runtime.channel
+        self.sim = self.runtime.sim
+        if spec.max_events is not None:
+            self.sim.max_events = spec.max_events
         self._started = False
         self.plane = None  # data-plane forwarding (repro.traffic)
         for node_id in sorted(self.owned):
@@ -368,10 +275,7 @@ class ShardWorker:
     def start(self) -> Optional[float]:
         if not self._started:
             self._started = True
-            for node_id in sorted(self.runtime.nodes):
-                self.sim.set_lane(node_id)
-                self.runtime.nodes[node_id].start()
-            self.sim.set_lane(None)
+            self.runtime.boot()
         return self.sim.next_event_time()
 
     def advance(
@@ -1064,101 +968,42 @@ _EXECUTORS = {"inline": _InlineExecutor, "process": _ProcessExecutor}
 class _ChannelMediator:
     """Coordinator-side HEAD_ORG mutual exclusion.
 
-    Reproduces :class:`~repro.net.channel.ChannelManager` semantics with
-    the request/release *effect* shifted one lookahead after the call
-    (the hop to the mediator).  Every flush processes the whole queue in
-    ``(effect_time, claim_key)`` order — safe because any not-yet-seen
-    operation necessarily has a later effect time than everything queued
-    (ops sent during epoch ``(b, B]`` have effects in ``(b+L, B+L]``).
-    Grants are stamped ``(CHANNEL_LANE, counter)`` in processing order,
-    which the barrier-sequence invariance makes shard-count invariant.
+    Feeds the shards' channel operations to the one
+    :class:`~repro.net.channel.ChannelArbiter`, each taking effect one
+    lookahead after the call (the hop to the arbiter).  Every flush
+    processes the whole queue in ``(effect_time, claim_key)`` order —
+    safe because any not-yet-seen operation necessarily has a later
+    effect time than everything queued (ops sent during epoch ``(b, B]``
+    have effects in ``(b+L, B+L]``).  The barrier-sequence invariance
+    makes the grant stamps shard-count invariant.
     """
 
     def __init__(self, lookahead: float):
+        from ..net.channel import ChannelArbiter
+
         self._lookahead = lookahead
         self._queue: List[tuple] = []
-        self._waiting: List[dict] = []
-        self._active: Dict[tuple, dict] = {}
-        self._grants = itertools.count()
+        self._arbiter = ChannelArbiter()
+        self._homes: Dict[tuple, int] = {}
 
     def ingest(self, shard: int, entry: tuple) -> None:
-        kind = entry[0]
-        if kind == "chan_req":
-            _, time, key, node_id, center, radius = entry
-            self._queue.append(
-                (
-                    time + self._lookahead,
-                    key,
-                    "req",
-                    {
-                        "lease_id": key,
-                        "node_id": node_id,
-                        "center": center,
-                        "radius": radius,
-                        "shard": shard,
-                        "released": False,
-                    },
-                )
-            )
-        else:  # chan_rel
-            _, time, key, lease_id = entry
-            self._queue.append(
-                (time + self._lookahead, key, "rel", lease_id)
-            )
-
-    @staticmethod
-    def _conflicts(a: dict, b: dict) -> bool:
-        reach = a["radius"] + b["radius"]
-        dx = a["center"][0] - b["center"][0]
-        dy = a["center"][1] - b["center"][1]
-        return dx * dx + dy * dy <= reach * reach
+        if entry[0] == "chan_req":
+            self._homes[entry[2]] = shard
+        self._queue.append((entry[1] + self._lookahead, entry[2], entry))
 
     def flush(self) -> List[Tuple[int, float, tuple, tuple]]:
         """Process all queued ops; returns grants to inject.
 
         Each grant is ``(shard, time, key, lease_id)``.
         """
-        if not self._queue:
-            return []
         grants: List[Tuple[int, float, tuple, tuple]] = []
-        for time, _key, kind, payload in sorted(
-            self._queue, key=lambda entry: (entry[0], entry[1])
+        for time, _key, entry in sorted(
+            self._queue, key=lambda item: (item[0], item[1])
         ):
-            if kind == "req":
-                self._waiting.append(payload)
-            else:
-                lease = self._active.pop(payload, None)
-                if lease is None:
-                    for waiting in self._waiting:
-                        if waiting["lease_id"] == payload:
-                            waiting["released"] = True
-                            break
-            self._pump(time, grants)
+            for key, lease_id in self._arbiter.apply(entry):
+                grants.append((self._homes.pop(lease_id), time, key, lease_id))
         self._queue.clear()
         return grants
-
-    def _pump(self, time: float, grants: list) -> None:
-        still_waiting: List[dict] = []
-        for lease in self._waiting:
-            if lease["released"]:
-                continue
-            conflict = any(
-                self._conflicts(lease, active)
-                for active in self._active.values()
-            )
-            if conflict:
-                still_waiting.append(lease)
-                continue
-            self._active[lease["lease_id"]] = lease
-            grants.append(
-                (
-                    lease["shard"],
-                    time,
-                    (CHANNEL_LANE, next(self._grants)),
-                    lease["lease_id"],
-                )
-            )
-        self._waiting = still_waiting
 
 
 # ---------------------------------------------------------------------------
@@ -1650,9 +1495,8 @@ class ShardedSimulation:
         if node_id not in self._presence:
             raise KeyError(node_id)
         self.start()
-        # Each corruption draws from its own derived seed (rather than
-        # the legacy shared "corruption" stream) so the draw sequence
-        # does not depend on which shard executes it.
+        # Each corruption draws from its own derived seed so the draw
+        # sequence does not depend on which shard executes it.
         op_seed = derive_seed(
             self.seed, f"corruption:{next(self._op_counter)}"
         )
@@ -1669,7 +1513,7 @@ class ShardedSimulation:
             raise ShardError(
                 f"node {node_id} would cross from shard {stripes[0]} to "
                 f"{new_stripes[0]}; cross-region moves are not supported "
-                "(run with shards=1 or a mobility-free scenario)"
+                "(run unsharded or with a mobility-free scenario)"
             )
         alive = self.network.node(node_id).alive
         self.network.move_node(node_id, new_position)
@@ -1714,8 +1558,19 @@ class ShardedSimulation:
 
     # -- data plane (repro.traffic) --------------------------------------
 
-    def attach_traffic(self, plane_config: Dict[str, Any]) -> None:
-        """Install a forwarding plane on every shard worker."""
+    def attach_traffic(
+        self, plane_config: Dict[str, Any], stream=None
+    ) -> None:
+        """Install a forwarding plane on every shard worker.
+
+        Returns ``None``: the planes live in the workers, and records
+        come back through :meth:`traffic_records`.
+        """
+        if stream is not None:
+            raise ValueError(
+                "record streaming is in-process only; sharded planes "
+                "live in worker processes"
+            )
         self.start()
         config = dict(plane_config)
         self._dispatch_op(

@@ -246,7 +246,10 @@ class RunStore:
     """
 
     MANIFEST = "manifest.json"
-    VERSION = 1
+    #: Bumped whenever stored results stop matching what this build
+    #: would compute (version 2: unsharded runs moved to the lane-keyed
+    #: trajectory), so an old store is refused instead of replayed.
+    VERSION = 2
 
     def __init__(self, root, shard_count: int = 4):
         if shard_count < 1:

@@ -16,12 +16,7 @@ crash-tolerant JSONL batches instead of holding them in memory.
 from .generators import TrafficConfig, generate_workload
 from .packets import DataFrame, Packet, TERMINAL_OUTCOMES
 from .plane import ForwardingPlane, InFlightTable
-from .report import (
-    TrafficFold,
-    build_traffic_report,
-    fold_traffic_report,
-    percentile,
-)
+from .report import TrafficFold, fold_traffic_report
 from .runner import (
     run_traffic_campaigns,
     run_traffic_replicate,
@@ -39,10 +34,8 @@ __all__ = [
     "TERMINAL_OUTCOMES",
     "TrafficConfig",
     "TrafficFold",
-    "build_traffic_report",
     "fold_traffic_report",
     "generate_workload",
-    "percentile",
     "run_traffic_campaigns",
     "run_traffic_replicate",
     "summarize_traffic",

@@ -21,12 +21,12 @@ Hot-path layout (built for ~10⁵ packets per replicate):
   (pid / holder / ttl / retries / hop / next-fire as parallel arrays
   with slot recycling).  The retry timer is one *shared bound method*
   per plane: every pending retry schedules the same callback object
-  and pops its state from a FIFO, so the scheduler never stores a
-  per-packet ``partial``/closure.  A literal recurring per-sender
-  timer would be cheaper still but changes which keys same-time events
-  claim, breaking byte-identity with the per-event schedule — the FIFO
-  discipline keeps the exact ``(time, key)`` claims of the one-event-
-  per-packet design while sharing one callback.
+  and pops its state from the holder's FIFO, so the scheduler never
+  stores a per-packet ``partial``/closure.  A literal recurring
+  per-sender timer would be cheaper still but changes which keys
+  same-time events claim — the FIFO discipline keeps the exact
+  ``(time, key)`` claims of the one-event-per-packet design while
+  sharing one callback.
 * Terminal records are ``pid -> (outcome, time)`` — two scalars — and
   can be written through to a
   :class:`~repro.traffic.stream.JsonlRecordStream` in batches so the
@@ -65,9 +65,8 @@ class InFlightTable:
 
     Struct-of-arrays with slot recycling: one row per held packet,
     freed rows are reused, and :meth:`pop` returns the row as a plain
-    tuple.  The plane addresses rows through FIFO queues (per data
-    lane in keyed mode, global otherwise), so the retry callback needs
-    no per-packet binding at all.
+    tuple.  The plane addresses rows through one FIFO queue per data
+    lane, so the retry callback needs no per-packet binding at all.
     """
 
     __slots__ = (
@@ -159,8 +158,8 @@ class ForwardingPlane:
         self.relay_load: Dict[NodeId, int] = {}
         #: Held packets awaiting their retry backoff.
         self.table = InFlightTable()
-        self._fifo: Deque[int] = deque()  # legacy mode: global FIFO
-        self._lane_fifo: Dict[NodeId, Deque[int]] = {}  # keyed mode
+        #: Per holder: table rows awaiting their retry, in fire order.
+        self._lane_fifo: Dict[NodeId, Deque[int]] = {}
         runtime.radio.data_plane = self
 
     # -- Radio integration -------------------------------------------
@@ -306,23 +305,16 @@ class ForwardingPlane:
             frame.packet, node_id, frame.ttl, frame.retries + 1,
             frame.hop, fire_at,
         )
-        if sim.lane_keys:
-            lane = DATA_LANE_BASE + node_id
-            fifo = self._lane_fifo.get(node_id)
-            if fifo is None:
-                fifo = self._lane_fifo[node_id] = deque()
-            fifo.append(row)
-            sim.schedule_keyed(
-                fire_at, sim.claim_key(lane), self._fire_retry_lane, lane=lane
-            )
-        else:
-            self._fifo.append(row)
-            sim.schedule(self.retry_delay, self._fire_retry)
+        lane = DATA_LANE_BASE + node_id
+        fifo = self._lane_fifo.get(node_id)
+        if fifo is None:
+            fifo = self._lane_fifo[node_id] = deque()
+        fifo.append(row)
+        sim.schedule_keyed(
+            fire_at, sim.claim_key(lane), self._fire_retry, lane=lane
+        )
 
     def _fire_retry(self) -> None:
-        self._resume_row(self._fifo.popleft())
-
-    def _fire_retry_lane(self) -> None:
         holder = self.runtime.sim.current_lane - DATA_LANE_BASE
         self._resume_row(self._lane_fifo[holder].popleft())
 

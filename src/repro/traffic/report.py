@@ -21,30 +21,14 @@ import math
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..net import NodeId
-from ..sim.metrics import percentile as _shared_percentile
+from ..sim import percentile
 from .packets import TERMINAL_OUTCOMES, Packet
 
-__all__ = [
-    "TrafficFold",
-    "build_traffic_report",
-    "fold_traffic_report",
-    "percentile",
-]
-
-
-def percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted sequence.
-
-    Thin wrapper over the shared :func:`repro.sim.percentile`
-    convention (``ceil(q * n) - 1``); an empty sequence yields 0.0
-    because reports always emit every field.
-    """
-    if not sorted_values:
-        return 0.0
-    return _shared_percentile(sorted_values, q)
+__all__ = ["TrafficFold", "fold_traffic_report"]
 
 
 def _delay_stats(delays: List[float]) -> Dict[str, float]:
+    # Reports always emit every field: no samples reads as zeros.
     if not delays:
         return {"mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0}
     delays.sort()
@@ -163,11 +147,15 @@ class TrafficFold:
                 "mean": (sum(hops) / len(hops)) if hops else 0.0,
                 "max": max(hops) if hops else 0,
             },
-            "stretch": {
-                "p50": percentile(stretches, 0.50),
-                "p90": percentile(stretches, 0.90),
-                "max": stretches[-1] if stretches else 0.0,
-            },
+            "stretch": (
+                {
+                    "p50": percentile(stretches, 0.50),
+                    "p90": percentile(stretches, 0.90),
+                    "max": stretches[-1],
+                }
+                if stretches
+                else {"p50": 0.0, "p90": 0.0, "max": 0.0}
+            ),
             "relay": {
                 "relaying_nodes": len(relay_load),
                 "transmissions": sum(relay_load.values()),
@@ -190,31 +178,5 @@ def fold_traffic_report(
     for pid, hop, node, x, y in hop_entries:
         fold.add_hop(pid, hop, node, x, y)
     for pid, (outcome, time) in terminals.items():
-        fold.add_terminal(pid, outcome, time)
-    return fold.finish(relay_load)
-
-
-def build_traffic_report(
-    packets: Sequence[Packet],
-    records: Mapping[int, Tuple[str, float, Tuple[NodeId, ...]]],
-    relay_load: Mapping[NodeId, int],
-    network,
-) -> Dict[str, object]:
-    """Compatibility shim for legacy ``(outcome, time, path)`` records.
-
-    Node-id paths carry no positions, so this shim reads them from
-    ``network`` at call time — acceptable only for mobility-free runs
-    (the live pipeline captures positions when hops are logged).
-    """
-    fold = TrafficFold(packets)
-    for pid in sorted(records):
-        outcome, time, path = records[pid]
-        for hop, node in enumerate(path):
-            if network.has_node(node):
-                position = network.node(node).position
-                x, y = position.x, position.y
-            else:
-                x = y = 0.0
-            fold.add_hop(pid, hop, node, x, y)
         fold.add_terminal(pid, outcome, time)
     return fold.finish(relay_load)

@@ -33,14 +33,14 @@ from ..net import NodeId
 from ..perturb.chaos import (
     ChaosCampaign,
     ChaosConfig,
+    run_identity,
     build_campaign_simulation,
 )
-from ..sim import RngStreams, SweepRunner, replicate_seed
+from ..sim import RngStreams, SweepRunner, percentile, replicate_seed
 from ..sim.parallel import ReplicateOutcome
 from .generators import TrafficConfig, generate_workload
 from .packets import Packet
-from .plane import ForwardingPlane
-from .report import TrafficFold, fold_traffic_report, percentile
+from .report import TrafficFold, fold_traffic_report
 from .stream import JsonlRecordStream
 
 __all__ = [
@@ -61,36 +61,26 @@ def attach_plane(
 ):
     """Attach a forwarding plane to a running simulation.
 
-    Returns the in-process :class:`ForwardingPlane` for the legacy
-    simulation, or ``None`` for the sharded facade (each shard worker
-    then owns its stripe's plane; records come back through
+    Returns the in-process :class:`ForwardingPlane` of an unsharded
+    simulation, or ``None`` for a sharded one (each shard worker then
+    owns its stripe's plane; records come back through
     ``traffic_records``).
     """
-    if hasattr(simulation, "attach_traffic"):
-        if stream is not None:
-            raise ValueError(
-                "record streaming is in-process only; sharded planes "
-                "live in worker processes"
-            )
-        simulation.attach_traffic(plane_config)
-        return None
-    return ForwardingPlane(simulation.runtime, plane_config, stream=stream)
+    return simulation.attach_traffic(plane_config, stream=stream)
 
 
 class PacketInjector:
     """Arms packet injections with one shared callback.
 
     Every injection schedules the *same* bound method and pops its unit
-    from a FIFO: scheduling stays one claim per unit in packet order —
-    byte-identical to the old ``partial``-per-packet arming — without a
-    per-packet closure held by the event queue.  Consecutive ``burst``
-    packets sharing a source and creation time form one unit and go
-    through the batched inject/send path.
+    from a FIFO: scheduling stays one claim per unit in packet order
+    without a per-packet closure held by the event queue.  Consecutive
+    ``burst`` packets sharing a source and creation time form one unit
+    and go through the batched inject/send path.
     """
 
-    def __init__(self, simulation, plane):
+    def __init__(self, simulation):
         self._simulation = simulation
-        self._plane = plane
         self._queue: deque = deque()
 
     def arm(self, packets: Sequence[Packet]) -> None:
@@ -102,16 +92,10 @@ class PacketInjector:
 
     def _fire(self) -> None:
         unit = self._queue.popleft()
-        plane = self._plane
         if len(unit) == 1:
-            if plane is None:
-                self._simulation.send_packet(unit[0])
-            else:
-                plane.inject(unit[0])
-        elif plane is None:
-            self._simulation.send_packet_batch(unit)
+            self._simulation.send_packet(unit[0])
         else:
-            plane.inject_batch(list(unit))
+            self._simulation.send_packet_batch(unit)
 
 
 def _injection_units(packets: Sequence[Packet]) -> List[Tuple[Packet, ...]]:
@@ -137,9 +121,9 @@ def _injection_units(packets: Sequence[Packet]) -> List[Tuple[Packet, ...]]:
     return units
 
 
-def schedule_packets(simulation, plane, packets: Sequence[Packet]):
+def schedule_packets(simulation, packets: Sequence[Packet]):
     """Arm every packet's injection at its creation time."""
-    injector = PacketInjector(simulation, plane)
+    injector = PacketInjector(simulation)
     injector.arm(packets)
     return injector
 
@@ -252,7 +236,7 @@ def _run_router(
         plane = attach_plane(
             simulation, traffic.plane_config(router), stream=stream
         )
-        injector = schedule_packets(simulation, plane, packets)
+        injector = schedule_packets(simulation, packets)
         simulation.run_for(traffic.duration + traffic.drain)
         forwarded = _time.perf_counter()
         assert not injector._queue, "armed packets left uninjected"
@@ -324,7 +308,7 @@ def run_traffic_campaigns(
         retry_policy=retry_policy,
         infra_chaos=infra_chaos,
     )
-    key_data = {k: v for k, v in data.items() if k != "supervise"}
+    key_data = run_identity(data)
     try:
         if store is None:
             return runner.run(specs)
@@ -380,8 +364,8 @@ def summarize_traffic(
             "generated": generated,
             "delivered": delivered,
             "delivery_ratio": (delivered / generated) if generated else 0.0,
-            "delay_p50_median": percentile(p50s, 0.50),
-            "delay_p99_median": percentile(p99s, 0.50),
+            "delay_p50_median": percentile(p50s, 0.50) if p50s else 0.0,
+            "delay_p99_median": percentile(p99s, 0.50) if p99s else 0.0,
             "delay_max": max((r["delay"]["max"] for r in reports), default=0.0),
             "hotspot_max_load": max(
                 (r["relay"]["max_load"] for r in reports), default=0

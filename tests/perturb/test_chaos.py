@@ -188,7 +188,7 @@ class TestSummarizeVerdicts:
         formula ``ceil(q*n)-1`` lands on n-1 exactly, no off-by-one),
         and a single-element sequence answers every q with that
         element."""
-        from repro.perturb.chaos import _percentile
+        from repro.sim import percentile as _percentile
 
         values = [10.0, 20.0, 30.0, 40.0, 50.0]
         assert _percentile(values, 0.0) == 10.0
@@ -202,7 +202,7 @@ class TestSummarizeVerdicts:
         assert _percentile([7.0], 1.0) == 7.0
 
     def test_percentile_rejects_bad_inputs(self):
-        from repro.perturb.chaos import _percentile
+        from repro.sim import percentile as _percentile
 
         with pytest.raises(ValueError, match="empty"):
             _percentile([], 0.5)

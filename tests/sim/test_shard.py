@@ -1,12 +1,10 @@
 """Sharded execution: the byte-identity differential suite.
 
 The contract under test (DESIGN.md § 9): a run at ``shards=N`` is
-byte-identical to ``shards=1`` — same ``state_digest``, same trace
-multiset, same scenario/chaos verdicts — for every N and for both the
-inline and process-pool executors.  Identity is *mode-relative*: the
-lane-keyed sharded trajectory is internally consistent across shard
-counts but deliberately distinct from the legacy single-simulator
-path, which these tests never compare against.
+byte-identical to the same run unsharded and at ``shards=1`` — same
+``state_digest``, same trace multiset, same scenario/chaos verdicts —
+for every N and for both the inline and process-pool executors.
+``shards=None`` below is the in-process ``Gs3DynamicSimulation``.
 """
 
 import json
@@ -16,8 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import Gs3DynamicSimulation
 from repro.core.config import GS3Config
 from repro.geometry import HexLattice, Vec2
+from repro.net import deployment_from_spec
 from repro.net.faults import ChannelFaultConfig
 from repro.sim import RngStreams, state_digest
 from repro.sim.shard import (
@@ -73,19 +73,31 @@ def _drive(sim, perturb=True):
     return _fingerprint(sim)
 
 
-def _run(shards, executor="inline", channel=None, seed=7, perturb=True):
-    sim = ShardedSimulation(
-        DEPLOYMENT,
+def _build(spec, shards, executor="inline", channel=None, seed=7):
+    """A sharded run, or the unsharded driver for ``shards=None``."""
+    if shards is None:
+        return Gs3DynamicSimulation.from_deployment(
+            deployment_from_spec(spec, RngStreams(seed)),
+            CONFIG,
+            seed=seed,
+            channel_faults=channel,
+        )
+    return ShardedSimulation(
+        spec,
         CONFIG,
         seed=seed,
         shards=shards,
         executor=executor,
         channel=channel,
     )
+
+
+def _run(shards, executor="inline", channel=None, seed=7, perturb=True):
+    sim = _build(DEPLOYMENT, shards, executor, channel, seed)
     try:
         return _drive(sim, perturb=perturb)
     finally:
-        sim.close()
+        getattr(sim, "close", lambda: None)()
 
 
 class TestByteIdentity:
@@ -93,6 +105,7 @@ class TestByteIdentity:
         baseline = _run(1)
         assert _run(2) == baseline
         assert _run(4) == baseline
+        assert _run(None) == baseline
 
     def test_process_executor_agrees_with_inline(self):
         assert _run(3, executor="process") == _run(3, executor="inline")
@@ -103,10 +116,12 @@ class TestByteIdentity:
         )
         baseline = _run(1, channel=channel)
         assert _run(4, channel=channel) == baseline
+        assert _run(None, channel=channel) == baseline
 
     def test_identity_without_perturbations(self):
         baseline = _run(1, perturb=False)
         assert _run(2, perturb=False) == baseline
+        assert _run(None, perturb=False) == baseline
 
     def test_different_seeds_diverge(self):
         # Sanity: the fingerprint is sensitive enough to catch drift.
@@ -130,7 +145,8 @@ class TestByteIdentityRandomized:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_random_topology_and_churn(self, seed, n_nodes, shards, churn):
-        """Random deployments and churn sequences: N shards == 1 shard."""
+        """Random deployments and churn sequences: N shards == 1 shard
+        == unsharded."""
         spec = {
             "kind": "uniform",
             "field_radius": 160.0,
@@ -138,9 +154,7 @@ class TestByteIdentityRandomized:
         }
 
         def campaign(n):
-            sim = ShardedSimulation(
-                spec, CONFIG, seed=seed, shards=n, executor="inline"
-            )
+            sim = _build(spec, n, seed=seed)
             try:
                 sim.start()
                 sim.run_for(150.0)
@@ -178,9 +192,9 @@ class TestByteIdentityRandomized:
                     sim.run_for(40.0)
                 return _fingerprint(sim)
             finally:
-                sim.close()
+                getattr(sim, "close", lambda: None)()
 
-        assert campaign(shards) == campaign(1)
+        assert campaign(shards) == campaign(1) == campaign(None)
 
 
 class TestScenarioAndChaosWiring:
@@ -198,14 +212,15 @@ class TestScenarioAndChaosWiring:
             ],
         }
         payloads = {}
-        for shards in (1, 4):
+        for shards in (None, 1, 4):
             d = dict(data)
-            d["shards"] = shards
+            if shards is not None:
+                d["shards"] = shards
             payloads[shards] = json.dumps(
                 run_scenario_replicate({"data": d, "seed": 7}),
                 sort_keys=True,
             )
-        assert payloads[1] == payloads[4]
+        assert payloads[None] == payloads[1] == payloads[4]
 
     def test_chaos_verdict_identical_and_heals(self):
         from repro.perturb.chaos import run_chaos_replicate
@@ -225,14 +240,17 @@ class TestScenarioAndChaosWiring:
             },
         }
         verdicts = {}
-        for shards in (1, 4):
+        for shards in (None, 1, 4):
             d = dict(data)
-            d["shards"] = shards
+            if shards is not None:
+                d["shards"] = shards
             verdicts[shards] = run_chaos_replicate({"data": d, "seed": 11})
-        assert verdicts[1] == verdicts[4]
+        assert verdicts[None] == verdicts[1] == verdicts[4]
         assert verdicts[1]["healed"]
 
     def test_shard_executor_never_in_scenario_digest(self):
+        """Neither the executor nor the shard count is part of a run's
+        identity: there is one trajectory per seed."""
         from repro.scenario import Scenario
 
         base = {
@@ -245,11 +263,13 @@ class TestScenarioAndChaosWiring:
         inline = Scenario.from_dict(dict(base, shard_executor="inline"))
         process = Scenario.from_dict(dict(base, shard_executor="process"))
         assert inline.canonical_digest() == process.canonical_digest()
-        # ... but the shard count itself IS part of the identity.
-        unsharded = Scenario.from_dict(
-            {k: v for k, v in base.items() if k != "shards"}
-        )
-        assert unsharded.canonical_digest() != inline.canonical_digest()
+        unsharded = {k: v for k, v in base.items() if k != "shards"}
+        for shards in (None, 1, 4):
+            data = unsharded if shards is None else dict(base, shards=shards)
+            assert (
+                Scenario.from_dict(data).canonical_digest()
+                == inline.canonical_digest()
+            )
 
     def test_mobile_scenario_rejected(self):
         from repro.scenario import Scenario

@@ -158,6 +158,16 @@ class TestRunStore:
         with pytest.raises(RunStoreError, match="version"):
             RunStore(tmp_path)
 
+    def test_rejects_pre_single_trajectory_manifest(self, tmp_path):
+        """Version-1 stores hold unsharded results from the retired
+        event ordering; serving them would replay stale trajectories."""
+        (tmp_path / RunStore.MANIFEST).write_text(
+            json.dumps({"version": 1, "runs": {"d1": {"records": 3}}}),
+            "utf-8",
+        )
+        with pytest.raises(RunStoreError, match="version 1"):
+            RunStore(tmp_path)
+
     def test_sharding_never_loses_records(self, tmp_path):
         store = RunStore(tmp_path, shard_count=3)
         seeds = list(range(20))

@@ -3,9 +3,9 @@
 The scale refactor moved recurring timers off the global event heap
 onto a bucketed timer wheel (``Simulator.schedule_recurring``).  The
 contract is that the wheel is *semantically invisible*: events keep
-their ``(time, seq)`` keys from the shared counter, the run loop
-executes the globally smallest key across both structures, handles
-cancel the same way, and ``pending_events`` stays exact.  These tests
+their ``(time, (lane, seq))`` keys from the shared lane counters, the
+run loop executes the globally smallest key across both structures,
+handles cancel the same way, and ``pending_events`` stays exact.  These tests
 pin that equivalence, plus the ``PeriodicTimer.start()`` re-arm leak
 fix that rode along.
 """
@@ -17,17 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import PeriodicTimer, SimulationError, Simulator
+from repro.sim.engine import CALLER_LANE
 
 DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.75, 7.0])
+LANES = st.sampled_from([0, 3, 7, CALLER_LANE])
 
 
 @st.composite
 def mixed_case(draw):
-    """A mix of one-shot and wheel events with pre-cancellations."""
+    """A mix of one-shot and wheel events, scheduled from a few lanes,
+    with pre-cancellations."""
     n = draw(st.integers(min_value=1, max_value=40))
     events = draw(
         st.lists(
-            st.tuples(st.booleans(), DELAYS), min_size=n, max_size=n
+            st.tuples(st.booleans(), DELAYS, LANES), min_size=n, max_size=n
         )
     )
     pre_cancels = draw(st.sets(st.integers(0, n - 1), max_size=n))
@@ -40,26 +43,30 @@ class TestWheelHeapEquivalence:
     @settings(max_examples=200, deadline=None)
     def test_execution_order_matches_single_heap(self, case):
         """Interleaved schedule/schedule_recurring executes in the
-        exact (time, seq) order a single heap would produce."""
+        exact (time, (lane, seq)) order a single heap would produce."""
         events, pre_cancels, width = case
         sim = Simulator(timer_bucket_width=width)
         executed = []
         handles = []
-        for i, (recurring, delay) in enumerate(events):
+        keys = []
+        seen = {}
+        for i, (recurring, delay, lane) in enumerate(events):
             cb = lambda i=i: executed.append(i)
+            sim.set_lane(lane)
             if recurring:
                 handles.append(sim.schedule_recurring(delay, cb))
             else:
                 handles.append(sim.schedule(delay, cb))
+            keys.append((delay, lane, seen.get(lane, 0)))
+            seen[lane] = seen.get(lane, 0) + 1
+        sim.set_lane(CALLER_LANE)
         for i in pre_cancels:
             handles[i].cancel()
         assert sim.pending_events == len(events) - len(pre_cancels)
         sim.run()
         expected = [
             i
-            for i in sorted(
-                range(len(events)), key=lambda i: (events[i][1], i)
-            )
+            for i in sorted(range(len(events)), key=lambda i: keys[i])
             if i not in pre_cancels
         ]
         assert executed == expected
@@ -77,8 +84,9 @@ class TestWheelHeapEquivalence:
             sim = Simulator(timer_bucket_width=width)
             executed = []
             handles = []
-            for i, (recurring, delay) in enumerate(events):
+            for i, (recurring, delay, lane) in enumerate(events):
                 cb = lambda i=i, e=executed: e.append(i)
+                sim.set_lane(lane)
                 if recurring and use_wheel:
                     handles.append(sim.schedule_recurring(delay, cb))
                 else:

@@ -5,13 +5,15 @@ import pytest
 from repro.core import GS3Config, Gs3DynamicSimulation
 from repro.net import grid_jitter
 from repro.sim import RngStreams
+from repro.sim import percentile
+from repro.sim.parallel import ReplicateOutcome
 from repro.traffic import (
     ForwardingPlane,
     Packet,
     TERMINAL_OUTCOMES,
-    build_traffic_report,
-    percentile,
+    fold_traffic_report,
     run_traffic_replicate,
+    summarize_traffic,
 )
 
 CFG = GS3Config(ideal_radius=100.0, radius_tolerance=25.0)
@@ -157,8 +159,24 @@ class TestReplicateConservation:
 
 
 class TestPercentile:
+    """Reports use the shared nearest-rank percentile; a field with no
+    samples reads 0.0 (reports always emit every field)."""
+
     def test_empty_is_zero(self):
-        assert percentile([], 0.5) == 0.0
+        report = fold_traffic_report([], {}, (), {})
+        assert report["delay"]["p50"] == 0.0
+        assert report["delay"]["p99"] == 0.0
+        summary = summarize_traffic(
+            [
+                ReplicateOutcome(
+                    index=0,
+                    ok=True,
+                    result={"seed": 1, "routers": {"cell": report}},
+                )
+            ]
+        )
+        assert summary["routers"]["cell"]["delay_p50_median"] == 0.0
+        assert summary["routers"]["cell"]["delay_p99_median"] == 0.0
 
     def test_nearest_rank(self):
         values = [1.0, 2.0, 3.0, 4.0]
@@ -171,8 +189,8 @@ class TestPercentile:
 
 
 class TestReportEdgeCases:
-    def test_empty_workload(self, configured):
-        report = build_traffic_report([], {}, {}, configured.network)
+    def test_empty_workload(self):
+        report = fold_traffic_report([], {}, (), {})
         assert report["generated"] == 0
         assert report["delivery_ratio"] == 0.0
         assert report["outcomes"]["missing"] == 0
