@@ -1,5 +1,6 @@
 """GS3 core: the protocols (S/D/M), their state, and their oracles."""
 
+from ..sim.driver import STRUCTURE_CHANGE_CATEGORIES, StabilityReport
 from .config import GS3Config
 from .dynamic import Gs3DynamicSimulation, default_corruption
 from .gs3d import Gs3DynamicNode
@@ -34,11 +35,7 @@ from .multibig import (
     root_rank,
 )
 from .runtime import Gs3Runtime
-from .simulation import (
-    STRUCTURE_CHANGE_CATEGORIES,
-    Gs3Simulation,
-    StabilityReport,
-)
+from .simulation import Gs3Simulation
 from .snapshot import NodeView, StructureSnapshot, take_snapshot
 from .state import NeighborInfo, NodeStatus, ProtocolState
 

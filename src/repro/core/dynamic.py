@@ -5,9 +5,11 @@ perturbation API of the paper's system model — node joins, leaves,
 deaths (energy-driven or scheduled), state corruptions, and movements —
 plus convergence measurement for the healing experiments.
 
-Every perturbation is a *driver operation* applied exactly as the
-sharded coordinator (:class:`~repro.sim.shard.ShardedSimulation`)
-applies it: operation ``k`` runs as an event under key
+Every perturbation is a *driver operation*: a plain descriptor tuple
+that :func:`apply_driver_op` interprets.  That one interpreter runs in
+this driver and in every shard worker of
+:class:`~repro.sim.shard.ShardedSimulation`, so each perturbation's
+effect is written once.  Operation ``k`` runs as an event under key
 ``(DRIVER_BASE + k, -1)`` on its own lane, after every event already
 due at the current time, so an unsharded run follows the same
 trajectory as a sharded one at any shard count.
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Any, Callable, Dict, List, Optional, Type
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from ..geometry import Vec2
 from ..net import (
@@ -38,11 +41,11 @@ from .gs3s import Gs3StaticNode
 from .simulation import Gs3Simulation
 from .state import NodeStatus
 
-__all__ = ["Gs3DynamicSimulation", "default_corruption"]
+__all__ = ["Gs3DynamicSimulation", "apply_driver_op", "default_corruption"]
 
 
 def default_corruption(node: Gs3StaticNode, rng) -> None:
-    """The default state-corruption mutator.
+    """State corruption, the one kind both drivers apply.
 
     Produces a *plausible but wrong* head state of the kind only sanity
     checking catches: the cell's original ideal location and
@@ -62,6 +65,144 @@ def default_corruption(node: Gs3StaticNode, rng) -> None:
         state.oil = state.oil + offset
     state.icc_icp = (rng.randrange(1, 4), rng.randrange(0, 6))
     state.hops_to_root = rng.randrange(0, 100)
+
+
+def _notify(runtime, node_id: NodeId, hook: str, *args) -> None:
+    """Call node program hook ``hook`` if the node runs one."""
+    handler = getattr(runtime.nodes.get(node_id), hook, None)
+    if handler is not None:
+        handler(*args)
+
+
+def _track_energy(host, node_id: NodeId) -> None:
+    if host.energy is not None:
+        host.energy.add_node(node_id)
+
+
+def _place(runtime, node_id: NodeId, position: Vec2) -> None:
+    runtime.network.add_node(
+        position,
+        max_range=runtime.config.recommended_max_range,
+        node_id=node_id,
+    )
+
+
+def _kill(host, node_id: NodeId, owner: bool) -> None:
+    runtime = host.runtime
+    runtime.network.kill_node(node_id)
+    if owner:
+        _notify(runtime, node_id, "on_killed")
+        runtime.trace("perturb.kill", node_id)
+
+
+def _revive(host, node_id: NodeId, owner: bool) -> None:
+    runtime = host.runtime
+    runtime.network.revive_node(node_id)
+    if owner:
+        _notify(runtime, node_id, "on_revived")
+        _track_energy(host, node_id)
+        runtime.trace("perturb.join", node_id)
+
+
+def _join(host, node_id: NodeId, position: Vec2, owner: bool) -> None:
+    runtime = host.runtime
+    if not runtime.network.has_node(node_id):
+        # A shard worker learns of the node here; the unsharded driver
+        # allocated its id in its one network at call time.
+        _place(runtime, node_id, position)
+    if owner:
+        host.node_class(runtime, node_id).start()
+        _track_energy(host, node_id)
+        runtime.trace("perturb.join", node_id)
+
+
+def _mirror_add(host, node_id: NodeId, position: Vec2, alive: bool) -> None:
+    _place(host.runtime, node_id, position)
+    if not alive:
+        host.runtime.network.kill_node(node_id)
+
+
+def _corrupt(host, node_id: NodeId, seed: int) -> None:
+    runtime = host.runtime
+    default_corruption(runtime.nodes[node_id], random.Random(seed))
+    runtime.trace("perturb.corrupt", node_id)
+
+
+def _move(host, node_id: NodeId, position: Vec2, owner: bool) -> None:
+    runtime = host.runtime
+    old = runtime.network.node(node_id).position
+    runtime.network.move_node(node_id, position)
+    if owner:
+        _notify(runtime, node_id, "on_moved", old, position)
+        runtime.trace("perturb.move", node_id)
+
+
+def _jam(host, window: JamWindow, emit: bool) -> None:
+    runtime = host.runtime
+    runtime.radio.ensure_fault_model().add_jam_window(window)
+    if emit:
+        runtime.tracer.emit(
+            runtime.sim.now,
+            "perturb.jam",
+            node=None,
+            center=(window.center.x, window.center.y),
+            radius=window.radius,
+            until=window.end,
+        )
+
+
+def _traffic_attach(host, plane_config: Dict[str, Any], stream) -> None:
+    from ..traffic.plane import ForwardingPlane
+
+    host.plane = ForwardingPlane(
+        host.runtime, dict(plane_config), stream=stream
+    )
+
+
+def _traffic_send(host, packet) -> None:
+    host.plane.inject(packet)
+
+
+def _traffic_send_batch(host, packets: tuple) -> None:
+    host.plane.inject_batch(packets)
+
+
+_DRIVER_OPS: Dict[str, Callable[..., None]] = {
+    "kill": _kill,
+    "revive": _revive,
+    "join": _join,
+    "mirror_add": _mirror_add,
+    "corrupt": _corrupt,
+    "move": _move,
+    "jam": _jam,
+    "traffic_attach": _traffic_attach,
+    "traffic_send": _traffic_send,
+    "traffic_send_batch": _traffic_send_batch,
+}
+
+
+def apply_driver_op(host, desc: tuple) -> None:
+    """Apply driver operation ``desc`` to ``host``'s runtime.
+
+    ``host`` is a :class:`Gs3DynamicSimulation` or a shard worker: it
+    has ``runtime``, ``node_class``, ``energy`` (an
+    :class:`~repro.net.EnergyTracker` or ``None``; energy-driven death
+    runs unsharded only) and the ``plane`` a traffic attach installs.
+    The descriptors, with ``owner`` false on a shard that only mirrors
+    the node (it takes the physical change, but runs no program hook
+    and emits no trace):
+
+    * ``("kill" | "revive", node_id, owner)``
+    * ``("join" | "move", node_id, position, owner)``
+    * ``("mirror_add", node_id, position, alive)``
+    * ``("corrupt", node_id, seed)``: :func:`default_corruption`
+      drawing from ``random.Random(seed)``
+    * ``("jam", window, emit)``: ``emit`` on exactly one host, so the
+      merged trace holds one record
+    * ``("traffic_attach", plane_config, stream)``,
+      ``("traffic_send", packet)``, ``("traffic_send_batch", packets)``
+    """
+    _DRIVER_OPS[desc[0]](host, *desc[1:])
 
 
 class Gs3DynamicSimulation(Gs3Simulation):
@@ -114,8 +255,8 @@ class Gs3DynamicSimulation(Gs3Simulation):
 
     # -- perturbations --------------------------------------------------
 
-    def _operate(self, operation: Callable[[], None]) -> None:
-        """Apply driver operation ``operation`` at the current time.
+    def _operate(self, desc: tuple) -> None:
+        """Apply driver operation ``desc`` at the current time.
 
         Called between runs, it executes (with its same-time follow-ups)
         before returning; called from an event, it is the next event to
@@ -124,7 +265,10 @@ class Gs3DynamicSimulation(Gs3Simulation):
         self.start()
         sim = self.runtime.sim
         lane = DRIVER_BASE + next(self._op_counter)
-        sim.schedule_keyed(sim.now, (lane, -1), operation, lane=lane)
+        sim.schedule_keyed(
+            sim.now, (lane, -1), partial(apply_driver_op, self, desc),
+            lane=lane,
+        )
         if not sim.running:
             sim.run(until=sim.now)
 
@@ -134,25 +278,7 @@ class Gs3DynamicSimulation(Gs3Simulation):
             return
         if not self.network.node(node_id).alive:
             return  # already dead: don't re-run on_killed or re-trace
-        self._operate(lambda: self._kill(node_id))
-
-    def _kill(self, node_id: NodeId) -> None:
-        self.network.kill_node(node_id)
-        node = self.runtime.nodes.get(node_id)
-        if node is not None and hasattr(node, "on_killed"):
-            node.on_killed()
-        self.runtime.trace("perturb.kill", node_id)
-
-    def kill_region(self, center: Vec2, radius: float) -> List[NodeId]:
-        """Kill every live node in a disk; returns the victims."""
-        victims = [
-            n.node_id
-            for n in self.network.nodes_within(center, radius)
-            if not n.is_big
-        ]
-        for node_id in victims:
-            self.kill_node(node_id)
-        return victims
+        self._operate(("kill", node_id, True))
 
     def revive_node(self, node_id: NodeId) -> None:
         """A previously dead node re-joins at its old position
@@ -161,65 +287,33 @@ class Gs3DynamicSimulation(Gs3Simulation):
             return
         if self.network.node(node_id).alive:
             return  # already alive: don't re-run on_revived or re-trace
-        self._operate(lambda: self._revive(node_id))
-
-    def _revive(self, node_id: NodeId) -> None:
-        self.network.revive_node(node_id)
-        node = self.runtime.nodes.get(node_id)
-        if node is not None and hasattr(node, "on_revived"):
-            node.on_revived()
-        if self.energy is not None:
-            self.energy.add_node(node_id)
-        self.runtime.trace("perturb.join", node_id)
+        self._operate(("revive", node_id, True))
 
     def add_node(self, position: Vec2) -> NodeId:
         """A brand-new node joins the network at ``position``."""
         node_id = self.network.add_node(
             position, max_range=self.config.recommended_max_range
         ).node_id
-        self._operate(lambda: self._join(node_id))
+        self._operate(("join", node_id, position, True))
         return node_id
 
-    def _join(self, node_id: NodeId) -> None:
-        self.node_class(self.runtime, node_id).start()
-        if self.energy is not None:
-            self.energy.add_node(node_id)
-        self.runtime.trace("perturb.join", node_id)
-
-    def corrupt_node(
-        self,
-        node_id: NodeId,
-        mutator: Callable = default_corruption,
-    ) -> None:
-        """Corrupt a node's protocol state in place.
+    def corrupt_node(self, node_id: NodeId) -> None:
+        """Corrupt a node's protocol state in place
+        (:func:`default_corruption`).
 
         Each corruption draws from its own derived seed, so the draws
         do not depend on which shard executes it.
         """
-        node = self.runtime.nodes[node_id]
-        rng = random.Random(
-            derive_seed(self.seed, f"corruption:{next(self._op_counter)}")
-        )
-
-        def corrupt() -> None:
-            mutator(node, rng)
-            self.runtime.trace("perturb.corrupt", node_id)
-
-        self._operate(corrupt)
+        if node_id not in self.runtime.nodes:
+            raise KeyError(node_id)
+        seed = derive_seed(self.seed, f"corruption:{next(self._op_counter)}")
+        self._operate(("corrupt", node_id, seed))
 
     def move_node(self, node_id: NodeId, new_position: Vec2) -> None:
         """Relocate a node (mobile perturbation)."""
         if not self.network.has_node(node_id):
             return
-        self._operate(lambda: self._move(node_id, new_position))
-
-    def _move(self, node_id: NodeId, new_position: Vec2) -> None:
-        old = self.network.node(node_id).position
-        self.network.move_node(node_id, new_position)
-        node = self.runtime.nodes.get(node_id)
-        if node is not None and hasattr(node, "on_moved"):
-            node.on_moved(old, new_position)
-        self.runtime.trace("perturb.move", node_id)
+        self._operate(("move", node_id, new_position, True))
 
     def jam_region(
         self,
@@ -240,19 +334,7 @@ class Gs3DynamicSimulation(Gs3Simulation):
         window = JamWindow(
             start=begin, end=begin + duration, center=center, radius=radius
         )
-
-        def jam() -> None:
-            self.runtime.radio.ensure_fault_model().add_jam_window(window)
-            self.runtime.tracer.emit(
-                self.runtime.sim.now,
-                "perturb.jam",
-                node=None,
-                center=(center.x, center.y),
-                radius=radius,
-                until=window.end,
-            )
-
-        self._operate(jam)
+        self._operate(("jam", window, True))
         return window
 
     # -- data plane (repro.traffic) --------------------------------------
@@ -263,24 +345,22 @@ class Gs3DynamicSimulation(Gs3Simulation):
         ``stream`` optionally spills the plane's records to a
         :class:`~repro.traffic.stream.JsonlRecordStream`.
         """
-        from ..traffic.plane import ForwardingPlane
-
-        def attach() -> None:
-            self.plane = ForwardingPlane(
-                self.runtime, dict(plane_config), stream=stream
-            )
-
-        self._operate(attach)
+        self._operate(("traffic_attach", plane_config, stream))
         return self.plane
 
     def send_packet(self, packet) -> None:
         """Originate a data packet at its source, now."""
-        self._operate(lambda: self.plane.inject(packet))
+        self._operate(("traffic_send", packet))
 
     def send_packet_batch(self, packets) -> None:
         """Originate a same-source packet batch in one operation."""
-        batch = list(packets)
-        self._operate(lambda: self.plane.inject_batch(batch))
+        self._operate(("traffic_send_batch", tuple(packets)))
+
+    def traffic_records(
+        self,
+    ) -> Tuple[Dict[int, tuple], tuple, Dict[NodeId, int]]:
+        """The plane's ``(terminals, hop entries, relay loads)``."""
+        return self.plane.collect()
 
     # -- energy-driven death ------------------------------------------------
 

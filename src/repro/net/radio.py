@@ -31,23 +31,15 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim import RngStreams, Simulator, Tracer
+from ..sim.engine import DATA_LANE_BASE
 from .faults import ChannelFaultModel
 from .node import NodeId
 from .topology import Network
 
-__all__ = ["Radio", "DeliveryError", "DATA_LANE_BASE"]
+__all__ = ["Radio", "DeliveryError"]
 
 #: Message handler signature: ``handler(payload, sender_id)``.
 Handler = Callable[[Any, NodeId], None]
-
-#: Lane namespace for data-plane events: node ``n`` claims keys from
-#: lane ``DATA_LANE_BASE + n``.  Protocol lanes (plain node ids) replay
-#: on every shard mirroring a node, so their counters must advance in
-#: lockstep across replicas; data events execute only on the owner, and
-#: claiming from ambient protocol lanes would desynchronise the
-#: replicas (and could mint colliding keys).  Sits below the driver
-#: namespace (``repro.sim.engine.DRIVER_BASE``, ``1 << 60``).
-DATA_LANE_BASE = 1 << 59
 
 
 class DeliveryError(RuntimeError):

@@ -43,6 +43,7 @@ __all__ = [
     "ChaosConfig",
     "StabilizationVerdict",
     "build_campaign_simulation",
+    "build_simulation",
     "run_chaos_campaigns",
     "run_chaos_replicate",
     "summarize_verdicts",
@@ -242,57 +243,84 @@ class StabilizationVerdict:
         return payload
 
 
+def build_simulation(
+    deployment_spec: Dict[str, Any],
+    deployment,
+    config,
+    seed: int,
+    channel=None,
+    mobile: bool = False,
+    shards: Optional[int] = None,
+    shard_executor: str = "inline",
+    supervise=None,
+    keep_trace_records: bool = True,
+):
+    """The one place a run's driver is chosen.
+
+    In-process by default (mobile node programs when ``mobile``), the
+    sharded facade when ``shards`` is set, which rejects mobility:
+    cross-region moves would be refused mid-run.  Both follow the same
+    trajectory.
+    """
+    # Function-level imports keep this module import-light for the
+    # pool workers and avoid package-init ordering knots.
+    from ..core import Gs3DynamicNode, Gs3DynamicSimulation, Gs3MobileNode
+
+    if shards is not None:
+        from ..sim.shard import ShardedSimulation
+
+        if mobile:
+            raise ValueError("mobile runs are not supported sharded")
+        return ShardedSimulation(
+            deployment_spec,
+            config,
+            seed=seed,
+            shards=int(shards),
+            executor=shard_executor,
+            channel=channel,
+            keep_trace_records=keep_trace_records,
+            supervise=supervise,
+        )
+    return Gs3DynamicSimulation.from_deployment(
+        deployment,
+        config,
+        seed=seed,
+        node_class=Gs3MobileNode if mobile else Gs3DynamicNode,
+        keep_trace_records=keep_trace_records,
+        channel_faults=channel,
+    )
+
+
 def build_campaign_simulation(
     data: Dict[str, Any], seed: int, deployment, chaos: ChaosConfig
 ):
     """Build the simulation a scenario-shaped campaign dict describes.
 
     Shared by the chaos verdict runner and the traffic engine so both
-    construct byte-for-byte identical simulations from the same spec:
-    in-process by default, the sharded facade when ``shards`` is set
-    (which rejects mobility — cross-region moves would be refused
-    mid-campaign).  Both follow the same trajectory.
+    construct byte-for-byte identical simulations from the same spec
+    (see :func:`build_simulation`).
     """
-    # Function-level imports keep this module import-light for the
-    # pool workers and avoid package-init ordering knots.
-    from ..core import Gs3DynamicNode, Gs3DynamicSimulation, Gs3MobileNode
     from ..core.config import GS3Config
     from ..net import ChannelFaultConfig
 
-    config = GS3Config(**data.get("config", {}))
-    channel = data.get("channel")
     shards = data.get("shards")
-    if shards is not None:
-        from ..sim.shard import ShardedSimulation
-
-        if data.get("mobile"):
-            raise ValueError("mobile campaigns are not supported sharded")
-        if chaos.move_rate > 0.0:
-            raise ValueError(
-                "move_rate > 0 is not supported sharded "
-                "(cross-region moves would be rejected mid-campaign)"
-            )
-        return ShardedSimulation(
-            data["deployment"],
-            config,
-            seed=seed,
-            shards=int(shards),
-            executor=str(data.get("shard_executor", "inline")),
-            channel=(
-                ChannelFaultConfig.from_dict(channel) if channel else None
-            ),
-            keep_trace_records=False,
-            supervise=data.get("supervise"),
+    if shards is not None and chaos.move_rate > 0.0:
+        raise ValueError(
+            "move_rate > 0 is not supported sharded "
+            "(cross-region moves would be rejected mid-campaign)"
         )
-    return Gs3DynamicSimulation.from_deployment(
+    channel = data.get("channel")
+    return build_simulation(
+        data["deployment"],
         deployment,
-        config,
-        seed=seed,
-        node_class=Gs3MobileNode if data.get("mobile") else Gs3DynamicNode,
+        GS3Config(**data.get("config", {})),
+        seed,
+        channel=ChannelFaultConfig.from_dict(channel) if channel else None,
+        mobile=bool(data.get("mobile")),
+        shards=shards,
+        shard_executor=str(data.get("shard_executor", "inline")),
+        supervise=data.get("supervise"),
         keep_trace_records=False,
-        channel_faults=(
-            ChannelFaultConfig.from_dict(channel) if channel else None
-        ),
     )
 
 
@@ -370,7 +398,7 @@ def _run_chaos_verdict(
     before = simulation.snapshot()
     campaign = ChaosCampaign(chaos, streams)
     injected = campaign.inject(simulation, deployment.field)
-    packets = plane = None
+    packets = None
     if traffic is not None:
         from ..traffic import TrafficConfig, generate_workload
         from ..traffic.runner import attach_plane, schedule_packets
@@ -379,7 +407,7 @@ def _run_chaos_verdict(
         packets = generate_workload(
             traffic_config, simulation.network, seed, simulation.now
         )
-        plane = attach_plane(
+        attach_plane(
             simulation, traffic_config.plane_config(traffic_config.routers[0])
         )
         schedule_packets(simulation, packets)
@@ -400,7 +428,7 @@ def _run_chaos_verdict(
         from ..traffic import fold_traffic_report
         from ..traffic.runner import collect_traffic
 
-        terminals, hops, relay_load = collect_traffic(simulation, plane)
+        terminals, hops, relay_load = collect_traffic(simulation)
         traffic_report = fold_traffic_report(
             packets, terminals, hops, relay_load
         )

@@ -43,16 +43,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from .analysis import changed_cells
-from .core import (
-    GS3Config,
-    Gs3DynamicNode,
-    Gs3DynamicSimulation,
-    Gs3MobileNode,
-    check_static_invariant,
-)
+from .core import GS3Config, Gs3DynamicSimulation, check_static_invariant
 from .geometry import Vec2
 from .net import ChannelFaultConfig, deployment_from_spec
 from .perturb import PerturbationInjector, churn_workload
+from .perturb.chaos import build_simulation
 from .sim import RngStreams, canonical_digest
 from .traffic.generators import TrafficConfig
 
@@ -298,32 +293,17 @@ class ScenarioExecution:
         self.scenario = scenario
         self.horizon = horizon
         self.deployment = scenario.build_deployment()
-        if scenario.shards is not None:
-            if scenario.mobile:
-                raise ValueError(
-                    "mobile scenarios are not supported sharded"
-                )
-            from .sim.shard import ShardedSimulation
-
-            self.simulation = ShardedSimulation(
-                scenario.deployment_spec,
-                scenario.config,
-                seed=scenario.seed,
-                shards=scenario.shards,
-                executor=scenario.shard_executor,
-                channel=scenario.channel,
-                supervise=scenario.supervise,
-            )
-        else:
-            self.simulation = Gs3DynamicSimulation.from_deployment(
-                self.deployment,
-                scenario.config,
-                seed=scenario.seed,
-                node_class=(
-                    Gs3MobileNode if scenario.mobile else Gs3DynamicNode
-                ),
-                channel_faults=scenario.channel,
-            )
+        self.simulation = build_simulation(
+            scenario.deployment_spec,
+            self.deployment,
+            scenario.config,
+            scenario.seed,
+            channel=scenario.channel,
+            mobile=scenario.mobile,
+            shards=scenario.shards,
+            shard_executor=scenario.shard_executor,
+            supervise=scenario.supervise,
+        )
         self.configured_at: Optional[float] = None
         self.log: List[Dict[str, Any]] = []
         self.result: Optional[ScenarioResult] = None

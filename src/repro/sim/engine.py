@@ -34,8 +34,8 @@ The lane namespace (all lanes sort by plain integer value):
 * node ids (small ints): protocol events;
 * :data:`CHANNEL_LANE` (``1 << 59``): channel grants, after every node
   event of the same time;
-* ``DATA_LANE_BASE + node`` (``repro.net.radio``, also ``1 << 59``):
-  data-plane frames and retries;
+* :data:`DATA_LANE_BASE` ``+ node`` (``(1 << 59) + 1``): data-plane
+  frames and retries, after the grants;
 * :data:`DRIVER_BASE` ``+ k`` (``1 << 60``): driver operation ``k``
   (kill, join, corrupt, jam, packet injection) and everything it
   schedules;
@@ -72,6 +72,7 @@ from typing import Callable, List, Optional, Tuple
 __all__ = [
     "CALLER_LANE",
     "CHANNEL_LANE",
+    "DATA_LANE_BASE",
     "DRIVER_BASE",
     "Event",
     "EventHandle",
@@ -83,6 +84,15 @@ __all__ = [
 #: Lane of channel-reservation grants.  Sorts after every node lane
 #: (node ids are small ints), so same-time grants run after node events.
 CHANNEL_LANE = 1 << 59
+
+#: Base lane for data-plane events: node ``n`` claims keys from lane
+#: ``DATA_LANE_BASE + n``.  Protocol lanes (plain node ids) replay on
+#: every shard mirroring a node, so their counters must advance in
+#: lockstep across replicas; data events execute only on the owner, and
+#: claiming from ambient protocol lanes would desynchronise the
+#: replicas (and could mint colliding keys).  Starts just above
+#: :data:`CHANNEL_LANE`, so node 0's data lane is not the grant lane.
+DATA_LANE_BASE = CHANNEL_LANE + 1
 
 #: Base lane for driver (perturbation) operations; operation ``k`` owns
 #: lane ``DRIVER_BASE + k``.  Everything an operation schedules —

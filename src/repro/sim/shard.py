@@ -41,6 +41,13 @@ are exchanged at barriers and injected with their pre-claimed keys.
 The HEAD_ORG channel reservation is arbitrated at the coordinator by
 the one :class:`~repro.net.channel.ChannelArbiter` (request and release
 take one hop — one lookahead — to reach it).
+
+The coordinator writes no perturbation or convergence logic of its own.
+Each driver operation reaches the shards carrying its node as
+descriptors of :func:`repro.core.dynamic.apply_driver_op`, the
+interpreter the unsharded driver runs too, and ``run_for`` /
+``stabilize`` are the shared :class:`~repro.sim.driver.SimulationDriver`
+loop over the coordinator clock and the merged tracer.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .driver import SimulationDriver
 from .engine import DRIVER_BASE, SimulationError
 from .rng import RngStreams, derive_seed
 from .supervise import (
@@ -183,7 +191,7 @@ class _ShardPort:
 
     __slots__ = ("owned", "outbox")
 
-    def __init__(self, owned: Set[int], outbox: List[tuple]):
+    def __init__(self, owned: Dict[int, Any], outbox: List[tuple]):
         self.owned = owned
         self.outbox = outbox
 
@@ -249,7 +257,6 @@ class ShardWorker:
         for node_id in network.node_ids():
             if node_id not in keep:
                 network.remove_node(node_id)
-        self.owned: Set[int] = set(spec.owned)
         self.outbox: List[tuple] = []
         self.runtime = Gs3Runtime.build(
             network,
@@ -260,14 +267,19 @@ class ShardWorker:
             big_position=deployment.big_position,
             channel_outbox=self.outbox,
         )
-        self.runtime.radio.shard_port = _ShardPort(self.owned, self.outbox)
+        # The nodes this shard runs programs for are exactly the ones it
+        # owns, including those a ``join`` op adds later.
+        self.runtime.radio.shard_port = _ShardPort(
+            self.runtime.nodes, self.outbox
+        )
         self.channel = self.runtime.channel
         self.sim = self.runtime.sim
         if spec.max_events is not None:
             self.sim.max_events = spec.max_events
         self._started = False
         self.plane = None  # data-plane forwarding (repro.traffic)
-        for node_id in sorted(self.owned):
+        self.energy = None  # energy-driven death runs unsharded only
+        for node_id in sorted(spec.owned):
             self.node_class(self.runtime, node_id)
 
     # -- lifecycle ------------------------------------------------------
@@ -291,9 +303,11 @@ class ShardWorker:
         self, time: float, ops: Sequence[Tuple[tuple, int, tuple]]
     ) -> Tuple[List[tuple], Optional[float]]:
         """Execute driver operations due exactly at the barrier time."""
+        from ..core.dynamic import apply_driver_op
+
         for key, lane, desc in ops:
             self.sim.schedule_keyed(
-                time, key, partial(self._exec_op, desc), lane=lane
+                time, key, partial(apply_driver_op, self, desc), lane=lane
             )
         self.sim.run(until=time)
         return self._drain()
@@ -330,111 +344,6 @@ class ShardWorker:
         else:  # pragma: no cover - defensive
             raise ShardError(f"unknown injection {kind!r}")
 
-    # -- driver operations ---------------------------------------------
-
-    def _exec_op(self, desc: tuple) -> None:
-        kind = desc[0]
-        runtime = self.runtime
-        network = runtime.network
-        if kind == "kill":
-            _, node_id, owner = desc
-            network.kill_node(node_id)
-            if owner:
-                node = runtime.nodes.get(node_id)
-                if node is not None and hasattr(node, "on_killed"):
-                    node.on_killed()
-                runtime.trace("perturb.kill", node_id)
-        elif kind == "revive":
-            _, node_id, owner = desc
-            network.revive_node(node_id)
-            if owner:
-                node = runtime.nodes.get(node_id)
-                if node is not None and hasattr(node, "on_revived"):
-                    node.on_revived()
-                runtime.trace("perturb.join", node_id)
-        elif kind == "join":
-            from ..geometry import Vec2
-
-            _, node_id, (x, y), owner = desc
-            network.add_node(
-                Vec2(x, y),
-                max_range=runtime.config.recommended_max_range,
-                node_id=node_id,
-            )
-            if owner:
-                self.owned.add(node_id)
-                node = self.node_class(runtime, node_id)
-                if self._started:
-                    node.start()
-                runtime.trace("perturb.join", node_id)
-        elif kind == "mirror_add":
-            from ..geometry import Vec2
-
-            _, node_id, (x, y), alive = desc
-            network.add_node(
-                Vec2(x, y),
-                max_range=runtime.config.recommended_max_range,
-                node_id=node_id,
-            )
-            if not alive:
-                network.kill_node(node_id)
-        elif kind == "corrupt":
-            import random
-
-            from ..core.dynamic import default_corruption
-
-            _, node_id, op_seed = desc
-            node = runtime.nodes[node_id]
-            default_corruption(node, random.Random(op_seed))
-            runtime.trace("perturb.corrupt", node_id)
-        elif kind == "move":
-            from ..geometry import Vec2
-
-            _, node_id, (x, y), owner = desc
-            old = network.node(node_id).position
-            new = Vec2(x, y)
-            network.move_node(node_id, new)
-            if owner:
-                node = runtime.nodes.get(node_id)
-                if node is not None and hasattr(node, "on_moved"):
-                    node.on_moved(old, new)
-                runtime.trace("perturb.move", node_id)
-        elif kind == "traffic_attach":
-            from ..traffic.plane import ForwardingPlane
-
-            _, plane_config = desc
-            self.plane = ForwardingPlane(runtime, dict(plane_config))
-        elif kind == "traffic_send":
-            _, packet = desc
-            if self.plane is None:  # pragma: no cover - coordinator invariant
-                raise ShardError("traffic_send before traffic_attach")
-            self.plane.inject(packet)
-        elif kind == "traffic_send_batch":
-            _, packets = desc
-            if self.plane is None:  # pragma: no cover - coordinator invariant
-                raise ShardError("traffic_send before traffic_attach")
-            self.plane.inject_batch(list(packets))
-        elif kind == "jam":
-            from ..geometry import Vec2
-            from ..net import JamWindow
-
-            _, (start, end, cx, cy, radius), emit = desc
-            window = JamWindow(
-                start=start, end=end, center=Vec2(cx, cy), radius=radius
-            )
-            runtime.radio.ensure_fault_model().add_jam_window(window)
-            if emit:
-                runtime.tracer.emit(
-                    self.sim.now,
-                    "perturb.jam",
-                    node=None,
-                    center=(cx, cy),
-                    radius=radius,
-                    until=end,
-                )
-        else:  # pragma: no cover - defensive
-            raise ShardError(f"unknown driver op {kind!r}")
-
     # -- queries --------------------------------------------------------
 
     def query(self, what: str, arg: Any = None) -> Any:
@@ -464,13 +373,7 @@ class ShardWorker:
             self.sim.max_events = arg
             return None
         if what == "traffic":
-            if self.plane is None:
-                return ({}, (), {})
-            return (
-                dict(self.plane.terminals),
-                tuple(self.plane.hop_log.entries()),
-                dict(self.plane.relay_load),
-            )
+            return ({}, (), {}) if self.plane is None else self.plane.collect()
         if what == "snapshot":
             from ..core.snapshot import node_view
 
@@ -1148,21 +1051,25 @@ class _FacadeRuntime:
     def __init__(self, owner: "ShardedSimulation"):
         self.sim = _FacadeClock(owner)
         self.rng = owner._rng
-        self.tracer = owner.tracer
+        self.tracer = _MergedTracer(owner)
         self.radio = _FacadeRadio(_MergedFaults(owner))
         self.config = owner.config
         self.lattice = owner.lattice
         self.network = owner.network
 
 
-class ShardedSimulation:
+class ShardedSimulation(SimulationDriver):
     """Coordinator for a spatially sharded GS3-D run.
 
-    Duck-types the ``Gs3DynamicSimulation`` surface that
+    Offers the ``Gs3DynamicSimulation`` surface that
     ``ScenarioExecution`` and the chaos campaigns drive: ``start``,
-    ``run_for``, ``stabilize``, ``snapshot``, the perturbation API, and
-    the ``runtime``/``tracer``/``network`` attributes.  Mobility and
-    energy-driven death are not supported sharded.
+    ``snapshot``, the perturbation API, and the ``runtime``/``network``
+    attributes; ``run_for``, ``stabilize`` and ``kill_region`` come from
+    :class:`~repro.sim.driver.SimulationDriver` over the merged clock
+    and tracer.  Each perturbation ships descriptors of
+    :func:`~repro.core.dynamic.apply_driver_op` to the shards carrying
+    the node.  Mobility and energy-driven death are not supported
+    sharded.
     """
 
     def __init__(
@@ -1260,7 +1167,6 @@ class ShardedSimulation:
         #: benches read these to locate that crossover.
         self.barrier_count = 0
         self.op_dispatches = 0
-        self.tracer = _MergedTracer(self)
         self.runtime = _FacadeRuntime(self)
 
     # -- partition helpers ----------------------------------------------
@@ -1270,10 +1176,6 @@ class ShardedSimulation:
         return self.partition.stripes_near(q)
 
     # -- lifecycle ------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     def start(self) -> None:
         if self._started:
@@ -1285,9 +1187,6 @@ class ShardedSimulation:
         # later epoch ``(b, B]`` can rely on events at ``b`` having
         # already run (the strict-lookahead argument needs ``t > b``).
         self._barrier(0.0)
-
-    def run_for(self, duration: float) -> float:
-        return self._run(self._now + duration)
 
     def close(self) -> None:
         """Shut down worker processes (no-op for the inline executor)."""
@@ -1443,16 +1342,6 @@ class ShardedSimulation:
             ],
         )
 
-    def kill_region(self, center, radius: float) -> List[int]:
-        victims = [
-            n.node_id
-            for n in self.network.nodes_within(center, radius)
-            if not n.is_big
-        ]
-        for node_id in victims:
-            self.kill_node(node_id)
-        return victims
-
     def revive_node(self, node_id: int) -> None:
         if not self.network.has_node(node_id):
             return
@@ -1476,22 +1365,17 @@ class ShardedSimulation:
         node_id = phys.node_id
         stripes = self._stripes_of(position)
         self._presence[node_id] = stripes
-        pos = (position.x, position.y)
         targets: List[Tuple[int, tuple]] = [
-            (stripes[0], ("join", node_id, pos, True))
+            (stripes[0], ("join", node_id, position, True))
         ]
         targets.extend(
-            (shard, ("mirror_add", node_id, pos, True))
+            (shard, ("mirror_add", node_id, position, True))
             for shard in stripes[1:]
         )
         self._dispatch_op(targets)
         return node_id
 
-    def corrupt_node(self, node_id: int, mutator=None) -> None:
-        if mutator is not None:
-            raise ShardError(
-                "sharded runs support only the default corruption mutator"
-            )
+    def corrupt_node(self, node_id: int) -> None:
         if node_id not in self._presence:
             raise KeyError(node_id)
         self.start()
@@ -1517,16 +1401,15 @@ class ShardedSimulation:
             )
         alive = self.network.node(node_id).alive
         self.network.move_node(node_id, new_position)
-        pos = (new_position.x, new_position.y)
         targets: List[Tuple[int, tuple]] = [
-            (shard, ("move", node_id, pos, i == 0))
+            (shard, ("move", node_id, new_position, i == 0))
             for i, shard in enumerate(stripes)
         ]
         for shard in new_stripes:
             if shard not in stripes:
                 stripes.append(shard)
                 targets.append(
-                    (shard, ("mirror_add", node_id, pos, alive))
+                    (shard, ("mirror_add", node_id, new_position, alive))
                 )
         self._dispatch_op(targets)
 
@@ -1541,13 +1424,12 @@ class ShardedSimulation:
         window = JamWindow(
             start=begin, end=begin + duration, center=center, radius=radius
         )
-        desc = (begin, window.end, center.x, center.y, radius)
         # Every shard installs the window (any shard may host an
         # affected sender); exactly one emits the trace record so the
         # merged multiset matches a one-shard run.
         self._dispatch_op(
             [
-                (shard, ("jam", desc, shard == 0))
+                (shard, ("jam", window, shard == 0))
                 for shard in range(self.shards)
             ],
         )
@@ -1575,7 +1457,7 @@ class ShardedSimulation:
         config = dict(plane_config)
         self._dispatch_op(
             [
-                (shard, ("traffic_attach", config))
+                (shard, ("traffic_attach", config, None))
                 for shard in range(self.shards)
             ],
         )
@@ -1628,11 +1510,8 @@ class ShardedSimulation:
         from ..core.snapshot import StructureSnapshot
 
         views: Dict[int, Any] = {}
-        gaps: Set[Any] = set()
-        for shard_views, shard_gaps in self._executor.query_all("snapshot"):
+        for shard_views, _gaps in self._executor.query_all("snapshot"):
             views.update(shard_views)
-            gaps |= shard_gaps
-        self._gaps = gaps
         return StructureSnapshot(
             time=self._now,
             ideal_radius=self.config.ideal_radius,
@@ -1648,105 +1527,3 @@ class ShardedSimulation:
             gaps |= shard_gaps
         occupied = set(self.snapshot().head_by_axial)
         return gaps - occupied
-
-    # -- convergence ------------------------------------------------------
-
-    def run_until_stable(
-        self,
-        window: float = 50.0,
-        max_time: float = 100_000.0,
-        categories: Optional[Iterable[str]] = None,
-    ) -> float:
-        report = self.stabilize(
-            window=window,
-            max_time=max_time,
-            categories=categories,
-            check_invariants=False,
-        )
-        if not report.stable:
-            raise TimeoutError(
-                f"structure did not stabilise within {max_time} ticks"
-            )
-        assert report.converged_at is not None
-        return report.converged_at
-
-    def stabilize(
-        self,
-        window: float = 50.0,
-        max_time: float = 100_000.0,
-        categories: Optional[Iterable[str]] = None,
-        check_invariants: bool = True,
-        field=None,
-        dynamic: bool = True,
-        horizon: Optional[float] = None,
-    ):
-        """Mirror of ``Gs3Simulation.stabilize`` over the merged run.
-
-        Same window loop, horizon branch, drain break, and invariant
-        check — operating on the merged tracer, the merged snapshot,
-        and the coordinator clock.
-        """
-        from ..core.simulation import (
-            STRUCTURE_CHANGE_CATEGORIES,
-            StabilityReport,
-        )
-
-        self.start()
-        categories = tuple(
-            categories if categories is not None
-            else STRUCTURE_CHANGE_CATEGORIES
-        )
-        stable = False
-        converged_at: Optional[float] = None
-        while self._now < max_time:
-            if horizon is not None and self._now + window > horizon:
-                if self._now < horizon:
-                    self._run(horizon)
-                return StabilityReport(
-                    stable=False,
-                    time=self._now,
-                    converged_at=None,
-                    last_change_category=None,
-                    last_change_time=None,
-                    pending_events=self._pending_events(),
-                    horizon_reached=True,
-                )
-            self._run(self._now + window)
-            last_change = self.tracer.last_time(*categories)
-            if last_change is None or last_change <= self._now - window:
-                stable = True
-                converged_at = (
-                    last_change if last_change is not None else self._now
-                )
-                break
-            if self._next_event_time() is None:
-                stable = True
-                converged_at = last_change
-                break
-        last_category: Optional[str] = None
-        last_time: Optional[float] = None
-        by_category = self.tracer.last_time_by_category
-        for category in categories:
-            t = by_category.get(category)
-            if t is not None and (last_time is None or t > last_time):
-                last_category, last_time = category, t
-        violations: List[str] = []
-        if check_invariants:
-            from ..core.invariants import check_static_invariant
-
-            violations = check_static_invariant(
-                self.snapshot(),
-                self.network,
-                field=field,
-                gap_axials=self.gap_axials(),
-                dynamic=dynamic,
-            )
-        return StabilityReport(
-            stable=stable,
-            time=self._now,
-            converged_at=converged_at,
-            last_change_category=last_category,
-            last_change_time=last_time,
-            pending_events=self._pending_events(),
-            violations=tuple(violations),
-        )

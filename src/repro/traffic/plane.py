@@ -44,13 +44,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.runtime import Gs3Runtime
 from ..geometry import Vec2
 from ..net import NodeId
-from ..net.radio import DATA_LANE_BASE
 from ..routing.hybrid import DATA_ROUTERS, FORWARD
+from ..sim.engine import DATA_LANE_BASE
 from .packets import DataFrame, Packet
 from .stream import HopLog, JsonlRecordStream
 
@@ -189,7 +189,7 @@ class ForwardingPlane:
         if frame is not None:
             self._forward(packet.src, frame)
 
-    def inject_batch(self, packets: List[Packet]) -> None:
+    def inject_batch(self, packets: Sequence[Packet]) -> None:
         """Originate a batch of same-source packets in one event.
 
         Routing decisions are made up front (they read structure state
@@ -359,6 +359,19 @@ class ForwardingPlane:
         self.terminals[pid] = (outcome, time)
         if self.stream is not None:
             self.stream.add_terminal(pid, outcome, time)
+
+    def collect(
+        self,
+    ) -> Tuple[Dict[int, Tuple[str, float]], tuple, Dict[NodeId, int]]:
+        """Copies of ``(terminals, hop entries, relay loads)``, the
+        inputs of :func:`~repro.traffic.report.fold_traffic_report`."""
+        if self.hop_log is None:
+            raise ValueError("plane spills to a stream; replay it instead")
+        return (
+            dict(self.terminals),
+            tuple(self.hop_log.entries()),
+            dict(self.relay_load),
+        )
 
     @property
     def records(self) -> Dict[int, Record]:

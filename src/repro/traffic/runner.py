@@ -129,18 +129,10 @@ def schedule_packets(simulation, packets: Sequence[Packet]):
 
 
 def collect_traffic(
-    simulation, plane
+    simulation,
 ) -> Tuple[Dict[int, tuple], tuple, Dict[NodeId, int]]:
     """``(terminals, hop entries, relay loads)``, merged across shards."""
-    if plane is None:
-        return simulation.traffic_records()
-    if plane.hop_log is None:
-        raise ValueError("plane spills to a stream; replay it instead")
-    return (
-        dict(plane.terminals),
-        tuple(plane.hop_log.entries()),
-        dict(plane.relay_load),
-    )
+    return simulation.traffic_records()
 
 
 def run_traffic_replicate(
@@ -246,7 +238,7 @@ def _run_router(
                 fold.add_entry(entry)
             report = fold.finish(dict(plane.relay_load))
         else:
-            terminals, hops, relay_load = collect_traffic(simulation, plane)
+            terminals, hops, relay_load = collect_traffic(simulation)
             report = fold_traffic_report(packets, terminals, hops, relay_load)
         report["chaos_events"] = chaos_events
         if instrumentation is not None:

@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulator and periodic timers."""
 
+import itertools
+
 import pytest
 
 from repro.sim import PeriodicTimer, RngStreams, SimulationError, Simulator
@@ -64,6 +66,34 @@ class TestScheduling:
         sim.run()
         assert order == ["first", "second"]
         assert sim.now == 2.0
+
+
+class TestLaneNamespace:
+    def test_lane_ranges_pairwise_disjoint(self):
+        """Node, channel, data, driver and caller lanes never share a
+        lane, and they sort in that order (equal keys from two ranges
+        would make the heap compare ``Event`` records)."""
+        from repro.net.channel import ARBITER_LANE
+        from repro.sim.engine import (
+            CALLER_LANE,
+            CHANNEL_LANE,
+            DATA_LANE_BASE,
+            DRIVER_BASE,
+        )
+
+        # Far more nodes (and driver operations) than any run creates.
+        most = 1 << 40
+        ranges = [
+            ("arbiter", ARBITER_LANE, ARBITER_LANE + 1),
+            ("node", 0, most),
+            ("channel", CHANNEL_LANE, CHANNEL_LANE + 1),
+            ("data", DATA_LANE_BASE, DATA_LANE_BASE + most),
+            ("driver", DRIVER_BASE, DRIVER_BASE + most),
+            ("caller", CALLER_LANE, CALLER_LANE + 1),
+        ]
+        for a, b in itertools.combinations(ranges, 2):
+            assert a[2] <= b[1] or b[2] <= a[1], (a, b)
+        assert [r[1] for r in ranges] == sorted(r[1] for r in ranges)
 
 
 class TestCancellation:
