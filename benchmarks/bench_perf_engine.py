@@ -24,8 +24,8 @@ Tracks the raw-speed trajectory of the simulator core across PRs:
   than 4 CPUs the numbers are recorded and the speedup assertion is
   skipped (``scaling_meaningful: false``);
 * the ``scale_100k`` campaign: 100k nodes deploy → self-configure →
-  chaos → heal, pinning events/sec and full/incremental
-  invariant-check latency at scale.
+  chaos → heal, pinning events/sec and invariant-check latency at
+  scale, split into the ``G_p`` reachability rebuild and the scan.
 
 Every section carries a ``provenance`` block (cpu_count, python/numpy
 versions, package version) so numbers are interpretable across hosts.
@@ -53,7 +53,7 @@ import time
 import pytest
 
 from repro import GS3Config
-from repro.core import Gs3DynamicSimulation, IncrementalInvariantChecker
+from repro.core import Gs3DynamicSimulation, check_static_invariant
 from repro.geometry import HexLattice, Vec2
 from repro.net import Network, Radio, poisson_disk, rt_gap_cells, uniform_disk
 from repro.sim import (
@@ -365,6 +365,11 @@ def bench_scale(
     """End-to-end scale campaign: deploy → self-configure → chaos →
     heal, with wall-clock, events/sec, and invariant-check latencies.
 
+    An invariant check's cost has two parts, timed apart: the ``G_p``
+    reachability rebuild (``Network.connected_to`` after a topology
+    change, which I1.1 pays first) and the full scan itself
+    (``check_static_invariant`` on a fresh snapshot, cache warm).
+
     The campaign is honest about partial convergence: if the
     configuration wave doesn't quiesce within ``max_configure_time``
     virtual ticks the section records ``stable: false`` and carries on
@@ -378,9 +383,22 @@ def bench_scale(
     sim.runtime.sim.max_events = 2_000_000_000
     build_s = time.perf_counter() - t0
 
-    checker = IncrementalInvariantChecker(
-        sim, field=deployment.field, dynamic=True
-    )
+    def timed_ms(fn):
+        start = time.perf_counter()
+        result = fn()
+        return result, (time.perf_counter() - start) * 1e3
+
+    def gp_reachability():
+        return sim.network.connected_to(sim.network.big_id)
+
+    def full_check():
+        return check_static_invariant(
+            sim.snapshot(),
+            sim.network,
+            field=deployment.field,
+            gap_axials=sim.gap_axials(),
+            dynamic=True,
+        )
 
     # Configure in window-sized chunks so long runs show progress on
     # stderr and a wall-clock budget bounds the worst case (a field
@@ -413,14 +431,8 @@ def bench_scale(
     configure_ticks = sim.runtime.sim.now
     heads = len(sim.snapshot().heads)
 
-    # Invariant-check latency: full rescan, then a warm incremental
-    # call with nothing dirty (the steady-state monitoring cost).
-    t2 = time.perf_counter()
-    checker.full_rescan()
-    full_ms = (time.perf_counter() - t2) * 1e3
-    t3 = time.perf_counter()
-    checker.check()
-    warm_ms = (time.perf_counter() - t3) * 1e3
+    _, gp_ms = timed_ms(gp_reachability)
+    _, full_ms = timed_ms(full_check)
 
     # Chaos: kill a slice of the field plus one jammed disk, then let
     # the self-healing run.
@@ -440,13 +452,11 @@ def bench_scale(
     )
     sim.run_for(heal_time)
     heal_s = time.perf_counter() - t4
-    t5 = time.perf_counter()
-    violations = checker.check()
-    churn_ms = (time.perf_counter() - t5) * 1e3
+    _, gp_churn_ms = timed_ms(gp_reachability)
+    violations, churn_ms = timed_ms(full_check)
 
     executed = sim.runtime.sim.executed_events
     run_wall = configure_s + heal_s
-    checker.close()
     return {
         "n_nodes": n_nodes,
         "field_radius": deployment.field.radius,
@@ -470,9 +480,10 @@ def bench_scale(
             "events_per_sec": executed / run_wall,
         },
         "invariants": {
+            "gp_reachability_ms": gp_ms,
             "full_ms": full_ms,
-            "incremental_warm_ms": warm_ms,
-            "incremental_after_churn_ms": churn_ms,
+            "gp_reachability_after_churn_ms": gp_churn_ms,
+            "full_after_churn_ms": churn_ms,
         },
     }
 

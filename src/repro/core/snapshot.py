@@ -187,9 +187,8 @@ class StructureSnapshot:
 def node_view(runtime: Gs3Runtime, node_id: NodeId) -> NodeView:
     """One node's current view — the per-node unit of take_snapshot.
 
-    Exposed so the incremental invariant checker can refresh exactly
-    the dirty nodes of a maintained view store and stay byte-identical
-    with a fresh full snapshot.
+    Exposed so a shard worker can build the views of its runtime's nodes
+    with exactly the code a full snapshot uses.
     """
     node = runtime.nodes[node_id]
     in_network = runtime.network.has_node(node_id)

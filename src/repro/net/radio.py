@@ -252,42 +252,17 @@ class Radio:
             range;
             ``"sender_dead"`` — the sender is no longer alive.
         """
-        sender = self.network.node(sender_id)
-        if not sender.alive:
-            return "sender_dead"
-        if not self.network.has_node(dest_id):
-            return "unreachable"
-        dest = self.network.node(dest_id)
-        if not dest.alive or not sender.can_reach(dest.position):
-            return "unreachable"
-        now = self.sim.now
-        self.tracer.emit(now, "msg.data", node=sender_id)
-        faults = self.faults
-        extra = 0.0
-        if faults is not None:
-            if faults.drop_data(
-                now, sender.position, dest.position, sender_id
-            ):
-                self.tracer.emit(
-                    now, "msg.lost", node=dest_id, sender=sender_id
-                )
-                return "dropped"
-            extra = faults.data_latency(sender_id)
-        key = self.sim.claim_key(DATA_LANE_BASE + sender_id)
-        self._dispatch(
-            now + self.hop_latency + extra, key, sender_id, dest_id, payload
-        )
-        return "sent"
+        return self.send_data_batch(sender_id, ((dest_id, payload),))[0]
 
     def send_data_batch(
         self, sender_id: NodeId, items: Sequence[Tuple[NodeId, Any]]
     ) -> List[str]:
         """Batched :meth:`send_data`: many frames from one sender.
 
-        Semantically identical to calling :meth:`send_data` once per
-        ``(dest_id, payload)`` in item order — per-sender fault draws
+        :meth:`send_data` is a batch of one.  Each ``(dest_id,
+        payload)`` is handled in item order — per-sender fault draws
         and lane keys are claimed in exactly that order, so a batched
-        burst and a sequential one produce the same trajectory — but
+        burst and a sequential one produce the same trajectory — while
         the sender lookup and fault model are hoisted out of the loop,
         which is what keeps 10⁵-packet bursts cheap.
         """

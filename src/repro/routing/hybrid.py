@@ -8,19 +8,21 @@ actually has — because by the time the packet arrives, the structure
 may have healed, heads may have died, and the original path may no
 longer exist.
 
-Two deciders share one interface, ``decide(node_id, dst, dst_pos,
-visited) -> (action, next_hop)``:
+Two deciders share one ``decide(node_id, dst, dst_pos, visited) ->
+(action, next_hop)``: a direct hop when the destination is within radio
+reach, associate → head, a head's own associates, then greedy over the
+neighbouring heads (ties broken by ``(distance, node_id)``), parent
+escalation when greedy stalls, perimeter fallback.  They differ only in
+the points greedy progress is measured between:
 
 * :class:`CellRouter` — the paper's cell-by-cell geographic routing:
-  associate → head, then greedy over neighbouring heads' ILs (ties
-  broken by ``(distance, node_id)``), parent escalation when greedy
-  stalls, perimeter fallback.  The data-plane twin of
-  ``HierarchicalRouter.route()``.
+  greedy over the heads' ILs.  The offline
+  ``HierarchicalRouter.route()`` is *not* this decision walked hop by
+  hop: the direct hop here fires whenever the destination is in reach,
+  so paths differ from ``route()``'s and are shorter on average.
 * :class:`HybridRouter` — mesh-first, tree-fallback (the EE662 idiom):
-  deliver directly when the destination is within radio reach, else
   greedy by *actual position* over the neighbour tables GS3 already
-  maintains (neighbouring heads), falling back to the parent link when
-  the mesh stalls.  No state beyond GS3's own tables.
+  maintains.  No state beyond GS3's own tables.
 
 Shard-safety contract: deciders may consult ``runtime.nodes`` only for
 the *current* node (always owned locally) and ``runtime.network`` only
@@ -33,12 +35,13 @@ out-of-range nodes depends on the shard count.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple, Type
+from operator import attrgetter
+from typing import Callable, Dict, Optional, Set, Tuple, Type
 
 from ..core.runtime import Gs3Runtime
-from ..core.state import NodeStatus
+from ..core.state import NeighborInfo, NodeStatus, ProtocolState
 from ..geometry import Vec2
-from ..net import NodeId
+from ..net import NodeId, PhysicalNode
 
 __all__ = ["CellRouter", "HybridRouter", "DATA_ROUTERS"]
 
@@ -52,7 +55,8 @@ WAIT = "wait"
 
 
 class _DeciderBase:
-    """Shared helpers for per-hop deciders."""
+    """The per-hop decision; subclasses name only the two points greedy
+    progress is measured between (``_table_point``/``_own_point``)."""
 
     kind = "base"
 
@@ -83,22 +87,15 @@ class _DeciderBase:
             return None
         return node.state
 
-    # -- interface ----------------------------------------------------
+    # -- the shared decision -----------------------------------------
 
-    def decide(
-        self,
-        node_id: NodeId,
-        dst: NodeId,
-        dst_pos: Vec2,
-        visited: Set[NodeId],
-    ) -> Tuple[str, Optional[NodeId]]:
+    #: A neighbour-table entry's point for greedy progress.
+    _table_point: Callable[[NeighborInfo], Vec2]
+
+    def _own_point(self, me: PhysicalNode, state: ProtocolState) -> Optional[Vec2]:
+        """This head's point for greedy progress (``None``: infinitely
+        far, so any neighbour improves on it)."""
         raise NotImplementedError
-
-
-class CellRouter(_DeciderBase):
-    """Cell-by-cell greedy-over-ILs with parent escalation (GS3 native)."""
-
-    kind = "cell"
 
     def decide(
         self,
@@ -135,17 +132,18 @@ class CellRouter(_DeciderBase):
         if dst in state.associate_positions and self._usable(node_id, dst):
             return (FORWARD, dst)
 
-        own_il = state.current_il
+        own = self._own_point(me, state)
         own_distance = (
-            own_il.distance_to(dst_pos) if own_il is not None else float("inf")
+            own.distance_to(dst_pos) if own is not None else float("inf")
         )
+        point = self._table_point
         best: Optional[Tuple[float, NodeId]] = None
         for info in state.neighbor_heads.values():
             neighbor_id = info.node_id
             if neighbor_id in visited or not self._usable(node_id, neighbor_id):
                 continue
-            distance = info.il.distance_to(dst_pos)
-            # Deterministic tie-break on equidistant ILs: (distance, id).
+            distance = point(info).distance_to(dst_pos)
+            # Deterministic tie-break on equidistant points: (distance, id).
             if best is None or (distance, neighbor_id) < best:
                 best = (distance, neighbor_id)
         if best is not None and best[0] < own_distance - _EPS:
@@ -167,6 +165,16 @@ class CellRouter(_DeciderBase):
         return (WAIT, None)
 
 
+class CellRouter(_DeciderBase):
+    """Cell-by-cell greedy-over-ILs with parent escalation (GS3 native)."""
+
+    kind = "cell"
+    _table_point = attrgetter("il")
+
+    def _own_point(self, me: PhysicalNode, state: ProtocolState) -> Optional[Vec2]:
+        return state.current_il
+
+
 class HybridRouter(_DeciderBase):
     """Mesh-first position-greedy forwarding, tree fallback on stall.
 
@@ -181,63 +189,10 @@ class HybridRouter(_DeciderBase):
     """
 
     kind = "hybrid"
+    _table_point = attrgetter("position")
 
-    def decide(
-        self,
-        node_id: NodeId,
-        dst: NodeId,
-        dst_pos: Vec2,
-        visited: Set[NodeId],
-    ) -> Tuple[str, Optional[NodeId]]:
-        network = self.runtime.network
-        me = network.node(node_id)
-
-        # Mesh final hop: destination within direct radio reach.  The
-        # geometric test comes first — only nodes within max_range are
-        # guaranteed mirrored locally at every shard count.
-        if dst != node_id and me.can_reach(dst_pos) and self._usable(node_id, dst):
-            return (FORWARD, dst)
-
-        state = self._state(node_id)
-        if state is None:
-            return (WAIT, None)
-        status = state.status
-        if status is NodeStatus.ASSOCIATE:
-            head = state.head_id
-            if head is not None and self._usable(node_id, head):
-                return (FORWARD, head)
-            return (WAIT, None)
-        if not status.is_head_like:
-            return (WAIT, None)
-
-        if dst in state.associate_positions and self._usable(node_id, dst):
-            return (FORWARD, dst)
-
-        own_distance = me.position.distance_to(dst_pos)
-        best: Optional[Tuple[float, NodeId]] = None
-        for info in state.neighbor_heads.values():
-            neighbor_id = info.node_id
-            if neighbor_id in visited or not self._usable(node_id, neighbor_id):
-                continue
-            distance = info.position.distance_to(dst_pos)
-            if best is None or (distance, neighbor_id) < best:
-                best = (distance, neighbor_id)
-        # Mesh step: strict geometric progress by actual positions.
-        if best is not None and best[0] < own_distance - _EPS:
-            return (FORWARD, best[1])
-
-        # Tree fallback: climb toward the root.
-        parent = state.parent_id
-        if (
-            parent is not None
-            and parent != node_id
-            and parent not in visited
-            and self._usable(node_id, parent)
-        ):
-            return (FORWARD, parent)
-        if best is not None:
-            return (FORWARD, best[1])
-        return (WAIT, None)
+    def _own_point(self, me: PhysicalNode, state: ProtocolState) -> Optional[Vec2]:
+        return me.position
 
 
 DATA_ROUTERS: Dict[str, Type[_DeciderBase]] = {

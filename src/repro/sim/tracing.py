@@ -12,8 +12,8 @@ shifted, ...) through a :class:`Tracer`.  Traces power three things:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["TraceRecord", "Tracer"]
 
@@ -46,9 +46,12 @@ class TraceRecord:
 class Tracer:
     """Collects :class:`TraceRecord` objects and summary counters.
 
-    Recording full records can be disabled (``keep_records=False``) for
-    large benchmark runs where only the counters matter; counters are
-    always maintained.
+    :meth:`emit` does two things and nothing else: it updates the
+    counters (``counts`` and ``last_time_by_category``) and appends to
+    the bounded record store.  Nothing subscribes to emissions; readers
+    poll the counters or scan the records.  Recording full records can
+    be disabled (``keep_records=False``) for large benchmark runs where
+    only the counters matter; counters are always maintained.
 
     Record storage is bounded by ``capacity``.  Once the bound is hit
     further records are dropped (counters keep counting), so
@@ -59,7 +62,7 @@ class Tracer:
     dropped.
 
     Fast-path contract: when ``enabled`` is ``False`` nothing is
-    active — no records, no counters, no listeners — and :meth:`emit`
+    active — no records, no counters — and :meth:`emit`
     returns after a single predicate.  This is the cheap-disable path
     for emit-heavy callers (``Radio`` emits up to three records per
     broadcast hop).  Whenever the tracer is enabled, counters and
@@ -80,10 +83,6 @@ class Tracer:
         self.counts: Counter = Counter()
         self.last_time_by_category: Dict[str, float] = {}
         self.truncated = False
-        self._listeners: List[Callable[[TraceRecord], None]] = []
-        self._meta_listeners: List[
-            Callable[[float, str, Optional[int]], None]
-        ] = []
 
     def emit(
         self,
@@ -97,49 +96,16 @@ class Tracer:
             return
         self.counts[category] += 1
         self.last_time_by_category[category] = time
-        record: Optional[TraceRecord] = None
-        if self.keep_records:
-            if len(self.records) < self.capacity:
-                record = TraceRecord(
-                    time, category, node, tuple(details.items())
-                )
-                self.records.append(record)
-            elif not self.truncated:
-                self.truncated = True
-                self.counts["trace.capacity"] += 1
-                self.last_time_by_category["trace.capacity"] = time
-        if self._listeners:
-            if record is None:
-                record = TraceRecord(
-                    time, category, node, tuple(details.items())
-                )
-            for listener in self._listeners:
-                listener(record)
-        if self._meta_listeners:
-            for meta_listener in self._meta_listeners:
-                meta_listener(time, category, node)
-
-    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Register a callback invoked for every record."""
-        self._listeners.append(listener)
-
-    def subscribe_meta(
-        self, listener: Callable[[float, str, Optional[int]], None]
-    ) -> None:
-        """Register a lightweight ``(time, category, node)`` callback.
-
-        Unlike :meth:`subscribe` this never forces :class:`TraceRecord`
-        construction when ``keep_records`` is off, so emit-heavy runs
-        (the 100k campaigns) pay only a tuple-free call per trace.
-        Used by the incremental invariant checker's dirty tracking.
-        """
-        self._meta_listeners.append(listener)
-
-    def unsubscribe_meta(
-        self, listener: Callable[[float, str, Optional[int]], None]
-    ) -> None:
-        """Remove a listener added with :meth:`subscribe_meta`."""
-        self._meta_listeners.remove(listener)
+        if not self.keep_records:
+            return
+        if len(self.records) < self.capacity:
+            self.records.append(
+                TraceRecord(time, category, node, tuple(details.items()))
+            )
+        elif not self.truncated:
+            self.truncated = True
+            self.counts["trace.capacity"] += 1
+            self.last_time_by_category["trace.capacity"] = time
 
     def by_category(self, category: str) -> Iterator[TraceRecord]:
         """All stored records with the given category."""

@@ -3,7 +3,7 @@
 One :class:`ForwardingPlane` attaches to a :class:`~repro.net.radio.Radio`
 (via ``radio.data_plane``) and owns every in-flight
 :class:`~repro.traffic.packets.DataFrame` on that simulator.  Packets
-hop link by link through :meth:`Radio.send_data` — each hop consults
+hop link by link through :meth:`Radio.send_data_batch` — each hop consults
 the channel fault model (loss, jams, jitter), so data traffic
 experiences exactly the adversity the control plane does — and the
 per-hop routing decision is re-made at every node, which is what lets
@@ -276,8 +276,10 @@ class ForwardingPlane:
             node_id, packet.dst, Vec2(*packet.dst_pos), set(frame.visited)
         )
         if action == FORWARD and target is not None:
-            outcome = self.runtime.radio.send_data(
-                node_id, target, replace(frame, ttl=frame.ttl - 1)
+            # A batch of one, not send_data (which wraps this same
+            # call): each hop enters the radio through one method.
+            (outcome,) = self.runtime.radio.send_data_batch(
+                node_id, ((target, replace(frame, ttl=frame.ttl - 1)),)
             )
             if outcome == "sent" or outcome == "dropped":
                 # The transmission happened either way — it counts

@@ -132,11 +132,21 @@ class TestTieBreak:
 
 
 class TestParentEscalation:
+    """Greedy stall → parent escalation, and the wait when even the
+    parent is visited.  Runs once per router (see the subclass below);
+    each targets its own greedy point: the IL for cell routing."""
+
+    router_cls = CellRouter
+
+    @staticmethod
+    def own_point(sim, node):
+        return node.state.current_il
+
     def test_greedy_stall_escalates_to_parent(self, configured):
         """With every neighbour already visited, a stalled head must
         climb to its parent rather than loop or give up."""
         sim = configured
-        router = CellRouter(sim.runtime)
+        router = self.router_cls(sim.runtime)
         for node in sim.runtime.nodes.values():
             state = node.state
             if not state.status.is_head_like:
@@ -153,10 +163,10 @@ class TestParentEscalation:
                 for info in state.neighbor_heads.values()
                 if info.node_id != parent
             }
-            # Target the head's own IL: distance 0 from here, so no
+            # Target the head's own point: distance 0 from here, so no
             # neighbour (parent included) can offer greedy progress.
             action, hop = router.decide(
-                node.node_id, 10**6, state.current_il, visited
+                node.node_id, 10**6, self.own_point(sim, node), visited
             )
             assert action == FORWARD
             assert hop == parent
@@ -167,17 +177,27 @@ class TestParentEscalation:
         """Everything visited including the parent: hold the packet
         (structure may heal) instead of looping."""
         sim = configured
-        router = CellRouter(sim.runtime)
+        router = self.router_cls(sim.runtime)
         head_id, state = _head_with_neighbors(sim, minimum=1)
         visited = {head_id} | {
             info.node_id for info in state.neighbor_heads.values()
         }
         if state.parent_id is not None:
             visited.add(state.parent_id)
-        action, hop = router.decide(
-            head_id, 10**6, Vec2(0.0, 10_000.0), visited
-        )
+        target = self.own_point(sim, sim.runtime.nodes[head_id])
+        action, hop = router.decide(head_id, 10**6, target, visited)
         assert (action, hop) == (WAIT, None)
+
+
+class TestHybridParentEscalation(TestParentEscalation):
+    """The same escalation and wait paths for the hybrid router, which
+    measures greedy progress from the head's actual position."""
+
+    router_cls = HybridRouter
+
+    @staticmethod
+    def own_point(sim, node):
+        return sim.network.node(node.node_id).position
 
 
 def _walk(router, src, dst, dst_pos, max_hops=32):

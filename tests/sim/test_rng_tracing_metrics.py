@@ -87,14 +87,6 @@ class TestTracer:
         assert tracer.records == []
         assert tracer.count("x") == 1
 
-    def test_listener(self):
-        tracer = Tracer(keep_records=False)
-        seen = []
-        tracer.subscribe(seen.append)
-        tracer.emit(1.0, "x", node=1)
-        assert len(seen) == 1
-        assert seen[0].category == "x"
-
     def test_clear(self):
         tracer = Tracer()
         tracer.emit(1.0, "x")
@@ -106,13 +98,10 @@ class TestTracer:
 class TestTracerFastPath:
     def test_disabled_tracer_drops_everything(self):
         tracer = Tracer(enabled=False)
-        seen = []
-        tracer.subscribe(seen.append)
         tracer.emit(1.0, "x", node=1)
         assert tracer.records == []
         assert tracer.count("x") == 0
         assert tracer.last_time("x") is None
-        assert seen == []
 
     def test_reenabling_restores_exact_counters(self):
         tracer = Tracer(enabled=False)
