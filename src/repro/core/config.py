@@ -8,7 +8,8 @@ derived quantity (search radius, alpha, lattice spacing) computed once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict
 
 from ..geometry import search_alpha, search_radius
@@ -151,50 +152,54 @@ class GS3Config:
         }
 
     # -- derived geometry ---------------------------------------------------
+    #
+    # Cached on first use: the fields are frozen, so a derived value can
+    # never go stale, and the protocol reads several of them on every
+    # received message.
 
-    @property
+    @cached_property
     def lattice_spacing(self) -> float:
         """Distance between neighbouring ILs: ``sqrt(3) * R``."""
         return math.sqrt(3.0) * self.ideal_radius
 
-    @property
+    @cached_property
     def search_radius(self) -> float:
         """``sqrt(3)*R + 2*R_t`` — the local-coordination radius."""
         return search_radius(self.ideal_radius, self.radius_tolerance)
 
-    @property
+    @cached_property
     def alpha(self) -> float:
         """The angular margin ``asin(R_t / (sqrt(3) R))`` in radians."""
         return search_alpha(self.ideal_radius, self.radius_tolerance)
 
-    @property
+    @cached_property
     def max_cell_radius(self) -> float:
         """Invariant I2.4's bound on the cell radius:
         ``R + 2 R_t / sqrt(3)``."""
         return self.ideal_radius + 2.0 * self.radius_tolerance / math.sqrt(3.0)
 
-    @property
+    @cached_property
     def cell_broadcast_range(self) -> float:
         """Range for intra-cell broadcasts: covers the worst-case cell
         radius with an ``R_t`` margin for head/IL deviation."""
         return self.max_cell_radius + self.radius_tolerance
 
-    @property
+    @cached_property
     def neighbor_distance_low(self) -> float:
         """Corollary 1 lower bound: ``sqrt(3)*R - 2*R_t``."""
         return self.lattice_spacing - 2.0 * self.radius_tolerance
 
-    @property
+    @cached_property
     def neighbor_distance_high(self) -> float:
         """Corollary 1 upper bound: ``sqrt(3)*R + 2*R_t``."""
         return self.lattice_spacing + 2.0 * self.radius_tolerance
 
-    @property
+    @cached_property
     def failure_timeout(self) -> float:
         """Silence (ticks) after which a heartbeat peer is failed."""
         return self.failure_timeout_beats * self.heartbeat_interval
 
-    @property
+    @cached_property
     def root_stale_horizon(self) -> float:
         """Root-freshness horizon: ``root_stale_timeouts * failure_timeout``.
 
@@ -203,7 +208,7 @@ class GS3Config:
         """
         return self.root_stale_timeouts * self.failure_timeout
 
-    @property
+    @cached_property
     def recommended_max_range(self) -> float:
         """Node radio range sufficient for all protocol traffic.
 

@@ -59,7 +59,7 @@ from .messages import (
     SanityCheckValid,
 )
 from .runtime import Gs3Runtime
-from .state import NodeStatus
+from .state import NeighborInfo, NodeStatus
 
 __all__ = ["Gs3DynamicNode"]
 
@@ -1049,15 +1049,9 @@ class Gs3DynamicNode(Gs3StaticNode):
                 self.rt.trace("big.resume", self.node_id, axial=info.axial)
                 return
         # Keep the proxy pointed at the closest fresh head.
-        if self.known_heads:
+        closest = self._closest_known_head()
+        if closest is not None:
             self._away_heard = self.rt.sim.now
-            closest = min(
-                self.known_heads.values(),
-                key=lambda info: (
-                    self.position.distance_to(info.position),
-                    info.node_id,
-                ),
-            )
             self._grant_proxy(closest.node_id)
             return
         # Total collapse: the whole structure dissolved (e.g. a jam
@@ -1153,8 +1147,6 @@ class Gs3DynamicNode(Gs3StaticNode):
 
     def _update_neighbor(self, msg, sender: NodeId) -> None:
         """Record a neighbouring head's heartbeat in the neighbour table."""
-        from .state import NeighborInfo
-
         state = self.state
         if state.cell_axial is None:
             return
@@ -1640,7 +1632,9 @@ class Gs3DynamicNode(Gs3StaticNode):
         epoch = getattr(payload, "root_epoch", 0)
         if epoch > self._max_epoch_heard:
             self._max_epoch_heard = epoch
-        super().on_message(payload, sender)
+        handler = self._dispatch.get(type(payload))
+        if handler is not None:
+            handler(self, payload, sender)
 
     def _on_org(self, msg, sender: NodeId) -> None:
         super()._on_org(msg, sender)

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..geometry import Axial, SearchRegion, Vec2
 from ..net import ChannelLease, NodeId
+from . import messages
 from .head_select import (
     drifted_candidate_ils,
     head_select,
@@ -47,7 +48,7 @@ from .state import NodeStatus, ProtocolState
 __all__ = ["Gs3StaticNode", "KnownHead"]
 
 
-@dataclass
+@dataclass(slots=True)
 class KnownHead:
     """What a node has overheard about some head in its vicinity."""
 
@@ -73,6 +74,18 @@ class _OrgRound:
     closed: bool = False
 
 
+def _handler_table(cls: type) -> Dict[type, Callable[..., None]]:
+    """Each message class of ``repro.core.messages`` mapped to the
+    handler ``cls`` defines for it: ``_on_`` plus the class name in
+    lower case.  Messages without a handler are absent (ignored)."""
+    table = {}
+    for name in messages.__all__:
+        handler = getattr(cls, "_on_" + name.lower(), None)
+        if handler is not None:
+            table[getattr(messages, name)] = handler
+    return table
+
+
 class Gs3StaticNode:
     """The GS3-S program for one node (big or small).
 
@@ -81,9 +94,22 @@ class Gs3StaticNode:
     ``Small_node`` (they boot passive and react to *org* messages).
     """
 
+    #: Payload class -> handler function; every subclass gets its own
+    #: table (``__init_subclass__``), so overrides dispatch correctly.
+    _dispatch: Dict[type, Callable[..., None]]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._dispatch = _handler_table(cls)
+
     def __init__(self, runtime: Gs3Runtime, node_id: NodeId):
         self.rt = runtime
+        self.cfg = runtime.config
         self.node_id = node_id
+        #: The node's physical twin.  ``Network`` mutates it in place on
+        #: kill, revive and move and never replaces or removes it while
+        #: a program runs for it, so one lookup serves the whole run.
+        self.phys = runtime.network.node(node_id)
         self.state = ProtocolState()
         #: Heads this node has overheard, keyed by node id.
         self.known_heads: Dict[NodeId, KnownHead] = {}
@@ -94,27 +120,22 @@ class Gs3StaticNode:
         #: a regenerated or resuming root always outbids it).
         self._max_epoch_heard: int = 0
         self._org: Optional[_OrgRound] = None
+        #: Fixed location estimation error; ``None`` when the believed
+        #: position is the true one (no error modelled, or the big node,
+        #: whose estimate anchors the lattice and is always exact).
+        self._location_error: Optional[Vec2] = None
         if runtime.config.location_error > 0.0:
             rng = runtime.rng.stream(f"location.{node_id}")
-            self._location_error: Optional[Vec2] = Vec2(
+            error = Vec2(
                 rng.gauss(0.0, runtime.config.location_error),
                 rng.gauss(0.0, runtime.config.location_error),
             )
-        else:
-            self._location_error = None
+            if not self.phys.is_big:
+                self._location_error = error
         runtime.radio.register(node_id, self.on_message)
         runtime.nodes[node_id] = self
 
     # -- convenience ----------------------------------------------------
-
-    @property
-    def cfg(self):
-        return self.rt.config
-
-    @property
-    def phys(self):
-        """The node's physical twin."""
-        return self.rt.network.node(self.node_id)
 
     @property
     def position(self) -> Vec2:
@@ -124,7 +145,7 @@ class Gs3StaticNode:
         location estimation error; the big node's estimate is always
         exact (it anchors the lattice).
         """
-        if self._location_error is None or self.phys.is_big:
+        if self._location_error is None:
             return self.phys.position
         return self.phys.position + self._location_error
 
@@ -134,7 +155,7 @@ class Gs3StaticNode:
 
     @property
     def alive(self) -> bool:
-        return self.rt.network.has_node(self.node_id) and self.phys.alive
+        return self.phys.alive
 
     @property
     def is_root(self) -> bool:
@@ -400,12 +421,14 @@ class Gs3StaticNode:
     # -- message dispatch ------------------------------------------------------
 
     def on_message(self, payload: Any, sender: NodeId) -> None:
-        """Radio receive handler; dispatches on the message type."""
-        if not self.alive:
-            return
-        handler = getattr(self, f"_on_{type(payload).__name__.lower()}", None)
+        """Radio receive handler; dispatches on the message type.
+
+        The radio delivers only to live nodes, so liveness is not
+        checked again here.
+        """
+        handler = self._dispatch.get(type(payload))
         if handler is not None:
-            handler(payload, sender)
+            handler(self, payload, sender)
 
     # -- Org: HEAD_ORG_RESP + ASSOCIATE_ORG_RESP --------------------------------
 
@@ -482,8 +505,9 @@ class Gs3StaticNode:
             return True
         if candidate_id == state.head_id:
             return False
-        current = self.position.distance_to(state.head_position)
-        offered = self.position.distance_to(candidate_position)
+        position = self.position
+        current = position.distance_to(state.head_position)
+        offered = position.distance_to(candidate_position)
         if offered < current - 1e-9:
             return True
         if abs(offered - current) <= 1e-9:
@@ -577,15 +601,9 @@ class Gs3StaticNode:
         HeadSet or Org is overheard, which realises the convergence to
         F3 (each associate ends up with the closest head).
         """
-        if not self.known_heads:
+        best = self._closest_known_head()
+        if best is None:
             return
-        best = min(
-            self.known_heads.values(),
-            key=lambda info: (
-                self.position.distance_to(info.position),
-                info.node_id,
-            ),
-        )
         state = self.state
         if state.status is NodeStatus.ASSOCIATE and state.head_id == best.node_id:
             return
@@ -625,6 +643,23 @@ class Gs3StaticNode:
 
     # -- shared bookkeeping -------------------------------------------------------
 
+    def _closest_known_head(self) -> Optional[KnownHead]:
+        """The known head closest to this node, ties to the lower id
+        (``None`` when no head is known)."""
+        position = self.position
+        best: Optional[KnownHead] = None
+        best_distance = 0.0
+        for info in self.known_heads.values():
+            distance = position.distance_to(info.position)
+            if (
+                best is None
+                or distance < best_distance
+                or (distance == best_distance and info.node_id < best.node_id)
+            ):
+                best = info
+                best_distance = distance
+        return best
+
     def _remember_head(
         self,
         node_id: NodeId,
@@ -644,17 +679,25 @@ class Gs3StaticNode:
         # size (Section 3.3.4).
         if self.position.distance_to(position) > self.cfg.recommended_max_range:
             return
-        self.known_heads[node_id] = KnownHead(
-            node_id=node_id,
-            position=position,
-            il=il,
-            axial=axial,
-            hops_to_root=hops,
-            last_heard=self.rt.sim.now,
-            root_epoch=root_epoch,
-            root_heard_at=root_heard_at,
-        )
+        info = self.known_heads.get(node_id)
+        if info is None:
+            self.known_heads[node_id] = KnownHead(
+                node_id, position, il, axial, hops, self.rt.sim.now,
+                root_epoch, root_heard_at,
+            )
+            return
+        # Re-heard: refresh in place (the table keeps its order).
+        info.position = position
+        info.il = il
+        info.axial = axial
+        info.hops_to_root = hops
+        info.last_heard = self.rt.sim.now
+        info.root_epoch = root_epoch
+        info.root_heard_at = root_heard_at
 
     def forget_head(self, node_id: NodeId) -> None:
         """Drop a head from the known-heads table (on failure)."""
         self.known_heads.pop(node_id, None)
+
+
+Gs3StaticNode._dispatch = _handler_table(Gs3StaticNode)

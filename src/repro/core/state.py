@@ -37,10 +37,10 @@ class NodeStatus(enum.Enum):
     #: The big node while away from any IL (GS3-M).
     BIG_MOVE = "big_move"
 
-    @property
-    def is_head_like(self) -> bool:
-        """Whether the node currently acts as a cell head."""
-        return self in (NodeStatus.HEAD, NodeStatus.WORK)
+    def __init__(self, value: str) -> None:
+        #: Whether the node currently acts as a cell head.  A plain
+        #: member attribute: every received message reads it.
+        self.is_head_like = value in ("head", "work")
 
 
 @dataclass(slots=True)
